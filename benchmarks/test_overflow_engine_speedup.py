@@ -24,7 +24,7 @@ import os
 import time
 
 from benchmarks.conftest import BENCH_SEED, emit
-from repro.sim.engines import get_overflow_engine
+from repro.sim.engines import get_engine
 from repro.sim.overflow import OverflowConfig, fleet_summary
 from repro.traces.workloads import SPEC2000_PROFILES, synthesize_trace
 from repro.util.rng import stream_rng
@@ -61,7 +61,7 @@ def _fleet_cases() -> list[tuple]:
 
 def _run_engine(name: str, cases: list[tuple]) -> tuple[list, float]:
     """All fleet cases on one engine: (overflow records, traces/second)."""
-    engine = get_overflow_engine(name)
+    engine = get_engine("overflow", name)
     for trace, victim in cases:  # untimed warmup: settle the allocator
         engine(trace, victim_entries=victim)
     results = []

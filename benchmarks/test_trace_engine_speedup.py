@@ -23,7 +23,7 @@ import os
 import time
 
 from benchmarks.conftest import BENCH_SEED, emit
-from repro.sim.engines import get_trace_engine
+from repro.sim.engines import get_engine
 from repro.sim.sweep import sweep_grid
 from repro.sim.trace_driven import TraceAliasConfig
 from repro.traces import remove_true_conflicts, specjbb_like
@@ -46,7 +46,7 @@ ACCESSES = 8000
 
 def _run_engine(name: str, trace) -> tuple[list[tuple], float]:
     """All grid points on one engine: (result tuples, points/second)."""
-    engine = get_trace_engine(name)
+    engine = get_engine("trace", name)
     grid = sweep_grid(**GRID)
     results = []
     start = time.perf_counter()

@@ -18,9 +18,8 @@ compute any given figure from one definition.  Setting ``jobs`` fans
 sweeps out over a process pool (:mod:`repro.sim.parallel`) without
 changing a single digit of the output tables; setting ``cluster``
 routes them through an in-process coordinator + worker fleet
-(:mod:`repro.cluster`) — same bytes again.  Every sweep kind crosses
-the cluster wire (the trace-driven grid ships as JSON scalars and
-rebuilds its trace per worker), so there is no local fallback path.
+(:mod:`repro.cluster`) — same bytes again.  Both choices are made by
+:func:`repro.sim.sweep.run_grid`, as on every other surface.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.core.model import ModelParams, conflict_likelihood_product_form
 from repro.core.sizing import concurrency_scaling_factor, table_entries_for_commit_probability
 from repro.sim.catalog import SWEEP_KINDS
 from repro.sim.engines import CLOSED_ENGINES, DEFAULT_CLOSED_ENGINE
-from repro.sim.sweep import SweepResult, run_sweep
+from repro.sim.sweep import SweepResult, run_grid
 from repro.sim.throughput import throughput_curve
 
 __all__ = ["ReportConfig", "generate_report"]
@@ -49,11 +48,12 @@ _QUALITY = {
 class ReportConfig:
     """Report generation parameters.
 
-    ``jobs`` parallelizes the sweep-shaped sections over that many
-    worker processes; ``None`` (the default) keeps them serial.
+    ``jobs`` > 1 parallelizes the sweep-shaped sections over that many
+    worker processes; ``None`` (the default) or 1 keeps them serial.
     ``cluster`` distributes the sweeps over that many in-process
-    cluster workers instead. The report body is identical in every
-    mode — non-serial runs only add a telemetry section at the end.
+    cluster workers, each with a pool of ``jobs`` processes. The report
+    body is identical in every mode — non-serial runs only add a
+    telemetry section at the end.
     """
 
     quality: str = "smoke"
@@ -81,12 +81,10 @@ class ReportConfig:
 
 
 class _SweepRunner:
-    """Dispatch report sweeps serially, onto the pool, or the cluster.
+    """Run report sweeps through :func:`repro.sim.sweep.run_grid`.
 
-    Collects one telemetry record per non-serial sweep so the report can
-    surface throughput and worker utilization at the end.  Every report
-    sweep comes from the sweep-kind table, whose point functions are
-    wire-safe by construction — cluster dispatch never falls back.
+    Collects one telemetry record per pool or cluster sweep so the
+    report can surface throughput and worker utilization at the end.
     """
 
     def __init__(self, jobs: Optional[int], cluster: Optional[int] = None) -> None:
@@ -107,20 +105,7 @@ class _SweepRunner:
         sweep to columnar accumulation; the returned result is the
         frame-backed facade, byte-identical row-wise.
         """
-        if self.cluster is not None:
-            from repro.cluster.coordinator import run_sweep_cluster_from_callable
-
-            result = run_sweep_cluster_from_callable(
-                fn, list(grid), workers=self.cluster, frame=frame
-            )
-            if result.telemetry is not None:
-                self.telemetry.append((name, result.telemetry))
-            return result
-        if self.jobs is None:
-            return run_sweep(fn, grid, frame=frame)
-        from repro.sim.parallel import run_sweep_parallel
-
-        result = run_sweep_parallel(fn, grid, jobs=self.jobs, frame=frame)
+        result = run_grid(fn, grid, jobs=self.jobs, cluster=self.cluster, frame=frame)
         if result.telemetry is not None:
             self.telemetry.append((name, result.telemetry))
         return result

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.analysis.tables import format_series, format_table
 from repro.core.birthday import birthday_collision_probability, people_for_collision_probability
@@ -51,7 +51,7 @@ from repro.core.sizing import table_entries_for_commit_probability
 from repro.sim.catalog import SWEEP_KINDS
 from repro.sim.closed_system import ClosedSystemConfig
 from repro.sim.engines import _KIND_DISPLAY, DEFAULT_ENGINES, available_engines
-from repro.sim.sweep import SweepResult, run_sweep
+from repro.sim.sweep import SweepResult, run_grid
 
 __all__ = ["main", "build_parser", "version_string"]
 
@@ -126,54 +126,12 @@ def _progress_line(done: int, total: int) -> None:
     Suppressed entirely when stderr is not a TTY — carriage returns
     would otherwise pollute redirected logs and CI output with one
     ever-growing line of overstrikes.  (The end-of-sweep telemetry
-    summary is printed unconditionally by :func:`_run_grid`.)
+    summary is printed unconditionally by :func:`_run_kind`.)
     """
     if not sys.stderr.isatty():
         return
     end = "\n" if done >= total else ""
     print(f"\r[sweep] {done}/{total} points", end=end, file=sys.stderr, flush=True)
-
-
-def _run_grid(
-    fn: Callable[..., Any],
-    grid: Sequence[Mapping[str, Any]],
-    jobs: Optional[int],
-    cluster: Optional[int] = None,
-    frame: Optional[Any] = None,
-) -> SweepResult:
-    """Run one CLI sweep serially, on the pool, or across the cluster.
-
-    Identical numbers in every mode: every point's randomness comes
-    from its own config seed, so sharding cannot perturb outcomes.
-    Non-serial runs print telemetry on stderr, keeping stdout
-    byte-identical to the serial run.  ``cluster=N`` boots an in-process
-    coordinator plus N worker loops; point functions that cannot cross
-    the wire fall back to the ``jobs`` path with a note on stderr.
-    ``frame`` (a :class:`repro.sim.frame.SweepFrame`) makes every mode
-    accumulate columns instead of dict rows — same bytes, flat storage.
-    """
-    if cluster is not None:
-        from repro.cluster.coordinator import run_sweep_cluster_from_callable
-
-        try:
-            result = run_sweep_cluster_from_callable(
-                fn, list(grid), workers=cluster, jobs_per_worker=jobs or 1,
-                frame=frame,
-            )
-        except ValueError as exc:
-            print(f"[sweep] not clusterable ({exc}); running locally", file=sys.stderr)
-        else:
-            if result.telemetry is not None:
-                print(f"[sweep] {result.telemetry.summary()}", file=sys.stderr)
-            return result
-    if jobs is None:
-        return run_sweep(fn, grid, frame=frame)
-    from repro.sim.parallel import run_sweep_parallel
-
-    result = run_sweep_parallel(fn, grid, jobs=jobs, progress=_progress_line, frame=frame)
-    if result.telemetry is not None:
-        print(f"[sweep] {result.telemetry.summary()}", file=sys.stderr)
-    return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,13 +498,16 @@ def _run_kind(kind_name: str, raw_params: Mapping[str, Any],
     """
     kind = SWEEP_KINDS[kind_name]
     params = kind.validate(raw_params)
-    sweep = _run_grid(
+    sweep = run_grid(
         kind.bind(params, args.seed),
         kind.grid(params),
-        args.jobs,
-        getattr(args, "cluster", None),
+        jobs=args.jobs,
+        cluster=args.cluster,
         frame=kind.make_frame(params),
+        progress=_progress_line,
     )
+    if sweep.telemetry is not None:
+        print(f"[sweep] {sweep.telemetry.summary()}", file=sys.stderr)
     return params, sweep
 
 
@@ -747,7 +708,7 @@ def _cmd_cluster_coordinate(args: argparse.Namespace) -> int:
 
     Stdout carries exactly one line — the canonical-JSON result, the
     same object ``POST /v1/sweeps`` would return — so output can be
-    diffed against a serial :func:`repro.service.sweeps.execute_sweep`
+    diffed against a serial :func:`repro.sim.catalog.execute_sweep`
     run.  Everything operational goes to stderr.
     """
     import json

@@ -19,8 +19,8 @@ exactly.
 
 :func:`run_sweep_cluster` is the batteries-included entry point — boot a
 coordinator thread plus N in-process worker threads, wait, return the
-merged result — used by the service's ``execution: cluster`` mode and
-the CLI's ``--cluster`` flag.
+merged result — reached through :func:`repro.sim.sweep.run_grid` by the
+service's ``execution: cluster`` mode and the CLI's ``--cluster`` flag.
 """
 
 from __future__ import annotations
@@ -701,9 +701,8 @@ def run_sweep_cluster_from_callable(
     ``fn`` must be clusterable — a module-level function or a keyword
     :func:`functools.partial` of one with JSON-safe bindings (see
     :func:`repro.cluster.protocol.task_from_callable`, whose
-    :class:`ValueError` propagates so callers can fall back to local
-    execution).  Same signature spirit as ``run_sweep(fn, points,
-    seed=..., label=...)``, same bytes out.
+    :class:`ValueError` propagates).  Same signature spirit as
+    ``run_sweep(fn, points, seed=..., label=...)``, same bytes out.
     """
     task = task_from_callable(fn, seed=seed, label=label)
     return run_sweep_cluster(

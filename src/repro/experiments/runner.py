@@ -13,7 +13,7 @@ byte-identical report artifact.
 Execution modes share one checkpoint namespace:
 
 * serial / ``--jobs N`` — the runner walks chunks itself, evaluating
-  misses via :func:`repro.sim.sweep.run_sweep` (or the process pool);
+  misses via :func:`repro.sim.sweep.run_grid` (serial or process pool);
 * ``--cluster N`` — an in-process elastic fleet: a
   :class:`~repro.cluster.coordinator.Coordinator` (which probes the
   same cache, keyed by :func:`~repro.cluster.coordinator.chunk_cache_key`)
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -50,7 +50,7 @@ from repro.experiments.specs import EXPERIMENTS, QUALITIES, ExperimentSpec
 from repro.service.cache import ResultCache, cache_key
 from repro.sim.catalog import SWEEP_KINDS
 from repro.sim.frame import FrameBackedSweepResult, SweepFrame
-from repro.sim.sweep import SweepResult, run_sweep
+from repro.sim.sweep import SweepResult, run_grid
 
 __all__ = [
     "ExperimentInterrupted",
@@ -240,39 +240,26 @@ def _run_figure_local(
     jobs: Optional[int],
     on_chunk_done: Callable[[int], None],
     interrupter: _Interrupter,
-    frame: Optional[SweepFrame] = None,
+    frame: SweepFrame,
 ) -> tuple[SweepResult, int, int]:
     """Walk one figure's chunks locally; returns (sweep, hits, computed)."""
-    chunks = chunk_grid(len(grid), chunk_size)
-    outcomes: list[Any] = []
     hits = computed = 0
-    for chunk in chunks:
+    for chunk in chunk_grid(len(grid), chunk_size):
         points = [dict(p) for p in grid[chunk.start:chunk.stop]]
         key = chunk_cache_key(task, points)
-        hit, cached = cache.lookup(key)
-        if hit and len(cached) == chunk.count:
-            outcomes.extend(cached)
-            if frame is not None:
-                frame.fill_many(chunk.start, points, cached)
-            hits += 1
-            on_chunk_done(hits + computed)
-            continue
-        if jobs is not None and jobs > 1:
-            from repro.sim.parallel import run_sweep_parallel
-
-            sweep = run_sweep_parallel(fn, points, jobs=jobs)
+        hit, outcomes = cache.lookup(key)
+        fresh = not (hit and len(outcomes) == chunk.count)
+        if fresh:
+            outcomes = list(run_grid(fn, points, jobs=jobs).outcomes)
+            cache.put(key, outcomes)
+            computed += 1
         else:
-            sweep = run_sweep(fn, points)
-        cache.put(key, list(sweep.outcomes))
-        outcomes.extend(sweep.outcomes)
-        if frame is not None:
-            frame.fill_many(chunk.start, points, list(sweep.outcomes))
-        computed += 1
+            hits += 1
+        frame.fill_many(chunk.start, points, outcomes)
         on_chunk_done(hits + computed)
-        interrupter.chunk_computed()
-    if frame is not None and frame.complete:
-        return FrameBackedSweepResult(frame), hits, computed
-    return SweepResult(points=grid, outcomes=outcomes), hits, computed
+        if fresh:
+            interrupter.chunk_computed()
+    return FrameBackedSweepResult(frame), hits, computed
 
 
 def _run_figure_cluster(

@@ -2,10 +2,11 @@
 
 Everything the reproduction computes is a pure function of explicit
 configuration, which makes it unusually easy to serve: this package
-wraps the closed-form model (:mod:`repro.core`) and the sweep engines
-(:mod:`repro.sim`) in a JSON-over-HTTP API suitable for capacity
-planning queries — "what conflict rate will this table see?", "how big
-must the table be?", "run the Figure 4(a) sweep for these parameters".
+wraps the closed-form model (:mod:`repro.core`) and the sweep-kind
+table (:mod:`repro.sim.catalog`) in a JSON-over-HTTP API suitable for
+capacity planning queries — "what conflict rate will this table see?",
+"how big must the table be?", "run the Figure 4(a) sweep for these
+parameters".
 
 Module map
 ----------
@@ -15,8 +16,6 @@ Module map
   rejection (the 429 path), per-job timeout, and graceful drain.
 * :mod:`repro.service.cache` — content-addressed result cache
   (canonical JSON + SHA-256) with memory-LRU and disk tiers.
-* :mod:`repro.service.sweeps` — validated registry of runnable sweep
-  kinds, executing on the existing engines.
 * :mod:`repro.service.metrics` — counter/gauge/histogram registry with
   Prometheus text rendering for ``GET /metrics``.
 * :mod:`repro.service.batching` — the micro-batcher coalescing
@@ -48,7 +47,7 @@ from repro.service.server import (
     serve,
     start_in_thread,
 )
-from repro.service.sweeps import SWEEP_KINDS, execute_sweep, validate_sweep_request
+from repro.sim.catalog import SWEEP_KINDS, execute_sweep, validate_sweep_request
 
 __all__ = [
     "CacheStats",

@@ -92,7 +92,7 @@ from repro.service.http import (
 )
 from repro.service.metrics import MetricsRegistry
 from repro.service.queue import Job, JobQueue, JobState, QueueClosed, QueueFull
-from repro.service.sweeps import (
+from repro.sim.catalog import (
     SWEEP_KINDS,
     SweepValidationError,
     execute_sweep,
@@ -424,7 +424,7 @@ class Service(JsonHttpServer):
         """Validate + cache-probe + admit one sweep request.
 
         Returns ``(job, was_cache_hit)``.  Raises
-        :class:`~repro.service.sweeps.SweepValidationError`,
+        :class:`~repro.sim.catalog.SweepValidationError`,
         :class:`~repro.service.queue.QueueFull`, or
         :class:`~repro.service.queue.QueueClosed` — callers map those
         to 400/429/503.

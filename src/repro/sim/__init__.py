@@ -26,7 +26,9 @@ Each engine reproduces one of the paper's measurement protocols:
   kinds), driven by placed, Zipf-skewed streams from :mod:`repro.alloc`.
 * :mod:`repro.sim.montecarlo` — the vectorized collision kernels shared
   by the above.
-* :mod:`repro.sim.sweep` — parameter-grid utilities.
+* :mod:`repro.sim.sweep` — parameter-grid utilities and
+  :func:`~repro.sim.sweep.run_grid`, the one executor that picks
+  serial, process-pool or cluster execution.
 * :mod:`repro.sim.parallel` — process-pool sweep engine, bit-identical
   to the serial runner via coordinate-sharded RNG streams.
 """
@@ -44,16 +46,8 @@ from repro.sim.engines import (
     OPEN_ENGINES,
     OVERFLOW_ENGINES,
     TRACE_ENGINES,
-    available_closed_engines,
     available_engines,
-    available_open_engines,
-    available_overflow_engines,
-    available_trace_engines,
-    get_closed_engine,
     get_engine,
-    get_open_engine,
-    get_overflow_engine,
-    get_trace_engine,
     simulate_closed,
     simulate_open,
     simulate_overflow,
@@ -101,7 +95,7 @@ from repro.sim.placement import (
     simulate_placement_conflicts,
     simulate_table_ab,
 )
-from repro.sim.sweep import SweepResult, run_sweep, sweep_grid
+from repro.sim.sweep import SweepResult, run_grid, run_sweep, sweep_grid
 from repro.sim.throughput import (
     ThroughputConfig,
     ThroughputResult,
@@ -144,24 +138,17 @@ __all__ = [
     "ThroughputResult",
     "TraceAliasConfig",
     "TraceAliasResult",
-    "available_closed_engines",
     "available_engines",
-    "available_open_engines",
-    "available_overflow_engines",
-    "available_trace_engines",
     "characterize_overflow",
     "collision_probability_estimate",
     "cross_thread_conflicts",
     "fleet_summary",
-    "get_closed_engine",
     "get_engine",
-    "get_open_engine",
-    "get_overflow_engine",
-    "get_trace_engine",
     "intra_thread_alias_counts",
     "overflow_distribution",
     "plain_read_violation_rate",
     "plain_write_violation_rate",
+    "run_grid",
     "run_sweep",
     "run_sweep_parallel",
     "simulate_closed",

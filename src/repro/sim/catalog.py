@@ -49,11 +49,11 @@ cluster kwargs unchanged); engines are byte-identical by contract, so
 the choice only changes wall-clock — and it *is* part of the cache key,
 because the normalized params are.
 
-Executors call :func:`repro.sim.sweep.run_sweep` (serial),
-:func:`repro.sim.parallel.run_sweep_parallel` (``jobs`` requested) or
-the cluster coordinator (``execution: cluster``), and all paths return
-identical numbers — the engines' determinism contract — so a cached
-result is indistinguishable from a recomputed one.
+Executors go through :func:`repro.sim.sweep.run_grid`, which runs a
+grid serially, on the process pool (``jobs > 1``) or on the cluster
+(``execution: cluster``); all paths return identical numbers — the
+engines' determinism contract — so a cached result is
+indistinguishable from a recomputed one.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from repro.sim.engines import (
 from repro.sim.frame import FrameBackedSweepResult, FrameField, FrameSchema, SweepFrame
 from repro.sim.open_system import OpenSystemConfig
 from repro.sim.overflow import OverflowConfig, characterize_overflow
-from repro.sim.sweep import run_sweep, sweep_grid
+from repro.sim.sweep import run_grid, sweep_grid
 from repro.sim.trace_driven import TraceAliasConfig
 from repro.util.units import is_power_of_two
 
@@ -409,28 +409,25 @@ class SweepKind:
 
     def execute(self, params: dict[str, Any], seed: int,
                 jobs: Optional[int],
-                frame: Optional[SweepFrame] = None) -> dict[str, Any]:
-        """Run the sweep locally (serial or process pool).
+                frame: Optional[SweepFrame] = None, *,
+                cluster: Optional[int] = None,
+                cache: Any = None) -> dict[str, Any]:
+        """Run the sweep through :func:`repro.sim.sweep.run_grid`.
 
-        When ``frame`` is given (from :meth:`make_frame`), results
-        accumulate into its typed columns and the assembler sees the
-        frame-backed row view — same bytes out, plus mid-run progress
-        readable through the frame.
+        ``jobs`` and ``cluster`` pick the execution mode (see
+        :func:`~repro.sim.sweep.run_grid`); kinds without a grid
+        (``model``) always evaluate in-process.  When ``frame`` is given
+        (from :meth:`make_frame`), results accumulate into its typed
+        columns and the assembler sees the frame-backed row view — same
+        bytes out, plus mid-run progress readable through the frame.
         """
         if self._execute is not None:
             return self._execute(params, seed, jobs)
-        sweep = _run_grid(self.bind(params, seed), self.grid(params), jobs, frame=frame)
+        sweep = run_grid(
+            self.bind(params, seed), self.grid(params), jobs=jobs,
+            cluster=cluster, cache=cache, frame=frame,
+        )
         return self.assemble(params, sweep)
-
-
-def _run_grid(fn: Callable[..., Any], grid: list[dict[str, Any]],
-              jobs: Optional[int], frame: Optional[SweepFrame] = None):
-    """Serial or process-pool execution of one validated grid."""
-    if jobs is None or jobs <= 1:
-        return run_sweep(fn, grid, frame=frame)
-    from repro.sim.parallel import run_sweep_parallel
-
-    return run_sweep_parallel(fn, grid, jobs=jobs, frame=frame)
 
 
 # -- point callables ---------------------------------------------------
@@ -1182,8 +1179,9 @@ def execute_sweep(
     """Run one validated sweep to completion (the job-queue body).
 
     ``execution="cluster"`` distributes a grid-shaped kind across an
-    in-process coordinator + worker fleet (``cluster_workers`` strong)
-    via :func:`repro.cluster.coordinator.run_sweep_cluster_from_callable`;
+    in-process coordinator + worker fleet (``cluster_workers`` strong,
+    each worker with a pool of ``jobs`` processes) via
+    :func:`repro.sim.sweep.run_grid`;
     the determinism contract makes the response byte-identical to the
     local path, so callers need not care which ran.  Kinds without a
     grid decomposition (``model``) always execute locally.  ``cache``
@@ -1193,18 +1191,7 @@ def execute_sweep(
     columns on every execution path; the response bytes are unchanged,
     but progress and streaming reads become available mid-run.
     """
-    sweep_kind = SWEEP_KINDS[kind]
-    if execution == "cluster" and sweep_kind.clusterable:
-        # Imported lazily: the cluster layer depends on service plumbing,
-        # and this module must stay importable without it.
-        from repro.cluster.coordinator import run_sweep_cluster_from_callable
-
-        sweep = run_sweep_cluster_from_callable(
-            sweep_kind.bind(params, seed),
-            sweep_kind.grid(params),
-            workers=cluster_workers,
-            cache=cache,
-            frame=frame,
-        )
-        return sweep_kind.assemble(params, sweep)
-    return sweep_kind.execute(params, seed, jobs, frame=frame)
+    cluster = cluster_workers if execution == "cluster" else None
+    return SWEEP_KINDS[kind].execute(
+        params, seed, jobs, frame, cluster=cluster, cache=cache
+    )

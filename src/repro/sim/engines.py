@@ -72,16 +72,8 @@ __all__ = [
     "OPEN_ENGINES",
     "OVERFLOW_ENGINES",
     "TRACE_ENGINES",
-    "available_closed_engines",
     "available_engines",
-    "available_open_engines",
-    "available_overflow_engines",
-    "available_trace_engines",
-    "get_closed_engine",
     "get_engine",
-    "get_open_engine",
-    "get_overflow_engine",
-    "get_trace_engine",
     "simulate_closed",
     "simulate_open",
     "simulate_overflow",
@@ -175,50 +167,6 @@ def get_engine(kind: str, name: Optional[str] = None) -> Callable:
         ) from None
 
 
-def available_closed_engines() -> tuple[str, ...]:
-    """The selectable closed-system engine names."""
-    return available_engines("closed")
-
-
-def get_closed_engine(
-    name: Optional[str] = None,
-) -> Callable[[ClosedSystemConfig], ClosedSystemResult]:
-    """Resolve a closed-system engine name (``None`` means the default)."""
-    return get_engine("closed", name)
-
-
-def available_trace_engines() -> tuple[str, ...]:
-    """The selectable trace-driven engine names."""
-    return available_engines("trace")
-
-
-def get_trace_engine(name: Optional[str] = None) -> Callable[..., TraceAliasResult]:
-    """Resolve a trace-driven engine name (``None`` means the default)."""
-    return get_engine("trace", name)
-
-
-def available_overflow_engines() -> tuple[str, ...]:
-    """The selectable HTM-overflow engine names."""
-    return available_engines("overflow")
-
-
-def get_overflow_engine(name: Optional[str] = None) -> Callable[..., object]:
-    """Resolve an HTM-overflow engine name (``None`` means the default)."""
-    return get_engine("overflow", name)
-
-
-def available_open_engines() -> tuple[str, ...]:
-    """The selectable open-system engine names."""
-    return available_engines("open")
-
-
-def get_open_engine(
-    name: Optional[str] = None,
-) -> Callable[[OpenSystemConfig], OpenSystemResult]:
-    """Resolve an open-system engine name (``None`` means the default)."""
-    return get_engine("open", name)
-
-
 def simulate_closed(
     cfg: ClosedSystemConfig, *, engine: Optional[str] = None
 ) -> ClosedSystemResult:
@@ -227,7 +175,7 @@ def simulate_closed(
     ``engine=None`` selects the kind's default.  Whatever the choice,
     the result is byte-identical — engines differ only in speed.
     """
-    return get_closed_engine(engine)(cfg)
+    return get_engine("closed", engine)(cfg)
 
 
 def simulate_trace(
@@ -243,7 +191,7 @@ def simulate_trace(
     ``engine=None`` selects the kind's default.  Whatever the choice,
     the result is byte-identical — engines differ only in speed.
     """
-    return get_trace_engine(engine)(trace, cfg, hash_fn=hash_fn, batch=batch)
+    return get_engine("trace", engine)(trace, cfg, hash_fn=hash_fn, batch=batch)
 
 
 def simulate_overflow(
@@ -258,7 +206,7 @@ def simulate_overflow(
     ``engine=None`` selects the kind's default.  Whatever the choice,
     the result is byte-identical — engines differ only in speed.
     """
-    return get_overflow_engine(engine)(
+    return get_engine("overflow", engine)(
         trace, geometry, victim_entries=victim_entries
     )
 
@@ -271,4 +219,4 @@ def simulate_open(
     Both entries currently alias the vectorized reference, so the flag
     exists for surface uniformity; results are identical by definition.
     """
-    return get_open_engine(engine)(cfg)
+    return get_engine("open", engine)(cfg)

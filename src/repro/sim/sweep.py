@@ -5,15 +5,19 @@ these helpers express that as data: build the grid, run a function at
 every point, and collect results keyed by their coordinates so reports
 can slice by any axis.
 
-Two execution strategies share one contract:
+Three execution strategies share one contract:
 
 * :func:`run_sweep` (here) evaluates points serially.
 * :func:`repro.sim.parallel.run_sweep_parallel` shards the same grid
   across a process pool and reassembles results in grid order.
+* :func:`repro.cluster.coordinator.run_sweep_cluster_from_callable`
+  leases chunks of the grid to in-process cluster workers.
 
-Both derive each point's randomness only from the point's coordinates
-(via :func:`repro.util.rng.point_seed` when ``seed`` is given), so the
-two strategies return bit-identical :class:`SweepResult` objects.
+All derive each point's randomness only from the point's coordinates
+(via :func:`repro.util.rng.point_seed` when ``seed`` is given), so they
+return bit-identical :class:`SweepResult` objects.  :func:`run_grid` is
+the one place that picks between them; every surface (CLI, service,
+report, experiments, cluster workers) calls it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.util.rng import point_seed
 
-__all__ = ["SweepResult", "run_sweep", "sweep_grid"]
+__all__ = ["SweepResult", "run_grid", "run_sweep", "sweep_grid"]
 
 
 def sweep_grid(**axes: Iterable[Any]) -> list[dict[str, Any]]:
@@ -162,3 +166,50 @@ def run_sweep(
     for index, point in enumerate(points):
         frame.fill(index, point, _call_point(fn, point, seed, label))
     return FrameBackedSweepResult(frame)
+
+
+def run_grid(
+    fn: Callable[..., Any],
+    grid: Iterable[Mapping[str, Any]],
+    *,
+    jobs: Optional[int] = None,
+    cluster: Optional[int] = None,
+    frame: Optional[Any] = None,
+    progress: Optional[Callable[[int, int], None]] = None,
+    seed: Optional[int] = None,
+    label: str = "sweep-point",
+    cache: Optional[Any] = None,
+) -> SweepResult:
+    """Evaluate ``fn`` over ``grid`` serially, on a process pool, or on a cluster.
+
+    The single execution policy:
+
+    * ``cluster=N`` runs on N in-process cluster workers, each fanning
+      its chunks over a pool of ``jobs`` processes when ``jobs > 1``;
+      ``cache`` (a :class:`~repro.service.cache.ResultCache`) is probed
+      per chunk by the coordinator.
+    * Otherwise ``jobs > 1`` runs on a process pool, reporting
+      ``progress(done, total)`` as points settle.
+    * Otherwise (``jobs`` of ``None`` or 1) the grid runs serially.
+
+    Every mode returns the same bytes; pool and cluster runs attach
+    their telemetry to the result.  ``seed``/``label`` derive per-point
+    seeds as in :func:`run_sweep`, and ``frame`` makes every mode
+    accumulate into typed columns.
+    """
+    if cluster is not None:
+        # Imported lazily: the cluster layer depends on service plumbing.
+        from repro.cluster.coordinator import run_sweep_cluster_from_callable
+
+        return run_sweep_cluster_from_callable(
+            fn, list(grid), seed=seed, label=label, workers=cluster,
+            jobs_per_worker=jobs or 1, cache=cache, frame=frame,
+        )
+    if jobs is not None and jobs > 1:
+        from repro.sim.parallel import run_sweep_parallel
+
+        return run_sweep_parallel(
+            fn, grid, jobs=jobs, seed=seed, label=label, progress=progress,
+            frame=frame,
+        )
+    return run_sweep(fn, grid, seed=seed, label=label, frame=frame)

@@ -43,7 +43,7 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.worker import WorkerConfig, WorkerThread
 from repro.service.cache import ResultCache
-from repro.service.sweeps import _open_point
+from repro.sim.catalog import _open_point
 from repro.sim.sweep import run_sweep, sweep_grid
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -335,7 +335,7 @@ class TestChunkCache:
 class TestServiceClusterExecution:
     def test_service_cluster_sweep_matches_local(self):
         from repro.service.server import Service, ServiceConfig, ServiceThread
-        from repro.service.sweeps import SWEEP_KINDS, execute_sweep
+        from repro.sim.catalog import SWEEP_KINDS, execute_sweep
 
         params = SWEEP_KINDS["fig4a"].validate(
             {"n_values": [64, 128], "w_values": [2, 4], "samples": 25}
@@ -372,7 +372,7 @@ class TestServiceClusterExecution:
         """The engine name rides the closed sweep's point kwargs across
         the cluster wire, and the result stays byte-identical to a
         local run on the *other* engine."""
-        from repro.service.sweeps import SWEEP_KINDS, execute_sweep
+        from repro.sim.catalog import SWEEP_KINDS, execute_sweep
 
         fast = SWEEP_KINDS["closed"].validate(
             {"n_values": [128], "w_values": [4], "engine": "fast"}
@@ -391,7 +391,7 @@ class TestServiceClusterExecution:
         rebuilt from (threads, accesses, seed) on each worker — and the
         engine kwarg rides along; the distributed result stays
         byte-identical to a local run on the *other* engine."""
-        from repro.service.sweeps import SWEEP_KINDS, execute_sweep
+        from repro.sim.catalog import SWEEP_KINDS, execute_sweep
 
         base = {"n_values": [256], "w_values": [3, 6], "samples": 30,
                 "threads": 2, "accesses": 2000}

@@ -28,7 +28,7 @@ from repro.cluster.registry import (
     resolve_point_fn,
     unregister_point_fn,
 )
-from repro.service.sweeps import _open_point
+from repro.sim.catalog import _open_point
 
 
 class TestDottedName:

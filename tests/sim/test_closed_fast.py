@@ -22,8 +22,8 @@ from repro.sim.closed_system import ClosedSystemConfig, simulate_closed_system
 from repro.sim.engines import (
     CLOSED_ENGINES,
     DEFAULT_CLOSED_ENGINE,
-    available_closed_engines,
-    get_closed_engine,
+    available_engines,
+    get_engine,
     simulate_closed,
 )
 from tests.sim.engine_contract import EngineContract, registry_test_class
@@ -170,11 +170,11 @@ class TestEngineRegistry:
     def test_legacy_helpers_match_registry(self):
         assert set(CLOSED_ENGINES) == {"reference", "fast"}
         assert DEFAULT_CLOSED_ENGINE == "fast"
-        assert available_closed_engines() == ("fast", "reference")
-        assert get_closed_engine() is simulate_closed_system_fast
-        assert get_closed_engine("reference") is simulate_closed_system
+        assert available_engines("closed") == ("fast", "reference")
+        assert get_engine("closed") is simulate_closed_system_fast
+        assert get_engine("closed", "reference") is simulate_closed_system
         with pytest.raises(ValueError, match="fast, reference"):
-            get_closed_engine("warp")
+            get_engine("closed", "warp")
 
     def test_simulate_closed_dispatches(self):
         cfg = ClosedSystemConfig(n_entries=512, concurrency=2, write_footprint=5, seed=7)

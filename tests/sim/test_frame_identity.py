@@ -6,7 +6,8 @@ closed) plus the allocator kinds, the assembled figure built from a
 :class:`~repro.sim.frame.SweepFrame` must serialize byte-for-byte
 identically to the list-of-dicts path — and that identity must hold
 across the serial runner, the process pool, and the in-process
-cluster, which all fill the same frame through different code paths.
+cluster (with or without a pool per worker), which all fill the same
+frame through different code paths.
 """
 
 from __future__ import annotations
@@ -63,6 +64,22 @@ def test_cluster_frame_identity(kind_name):
     )
     assert frame.complete
     assert json.dumps(via_cluster, sort_keys=True) == base
+
+
+@pytest.mark.parametrize("kind_name", ["fig4a", "closed"])
+def test_cluster_with_jobs_frame_identity(kind_name):
+    # Cluster workers that each fan their chunks over a process pool.
+    from repro.sim.sweep import run_grid
+
+    kind = SWEEP_KINDS[kind_name]
+    params = kind.validate(_params(kind_name))
+    base = json.dumps(kind.execute(params, 7, None), sort_keys=True)
+    frame = kind.make_frame(params)
+    sweep = run_grid(
+        kind.bind(params, 7), kind.grid(params), cluster=2, jobs=2, frame=frame
+    )
+    assert frame.complete
+    assert json.dumps(kind.assemble(params, sweep), sort_keys=True) == base
 
 
 def test_model_kind_has_no_frame():

@@ -9,6 +9,8 @@ Two families:
 * **Fault injection** — a raising point, a timed-out point, and a dead
   worker each exercise the retry/recovery path and still yield a
   complete :class:`SweepResult` with the failure recorded.
+* **Execution policy** — :func:`run_grid` picks serial, pool or cluster
+  from ``jobs``/``cluster`` alone, with identical outcomes in each.
 
 All point functions live at module level so they pickle into workers.
 """
@@ -24,7 +26,7 @@ import pytest
 from repro.sim.closed_system import ClosedSystemConfig, simulate_closed_system
 from repro.sim.open_system import OpenSystemConfig, simulate_open_system
 from repro.sim.parallel import SweepFailure, SweepTelemetry, run_sweep_parallel
-from repro.sim.sweep import run_sweep, sweep_grid
+from repro.sim.sweep import run_grid, run_sweep, sweep_grid
 
 JOBS = [1, 2, 4]
 
@@ -226,6 +228,51 @@ class TestTelemetryAndProgress:
     def test_serial_run_sweep_has_no_telemetry(self):
         result = run_sweep(arith_point, [{"a": 1, "b": 2}])
         assert result.telemetry is None
+
+
+class TestRunGrid:
+    """One executor, one policy: serial, pool or cluster, same outcomes."""
+
+    GRID = [{"x": i} for i in range(7)]
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    def test_jobs_one_creates_no_pool(self, jobs, monkeypatch):
+        import repro.sim.parallel as parallel
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("serial run created a process pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        result = run_grid(seeded_point, self.GRID, jobs=jobs, seed=5, label="g")
+        assert result.telemetry is None
+        assert result.outcomes == run_sweep(
+            seeded_point, self.GRID, seed=5, label="g"
+        ).outcomes
+
+    def test_pool_matches_serial_and_reports_progress(self):
+        calls = []
+        result = run_grid(
+            seeded_point, self.GRID, jobs=2, seed=5, label="g",
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        assert isinstance(result.telemetry, SweepTelemetry)
+        assert result.outcomes == run_sweep(
+            seeded_point, self.GRID, seed=5, label="g"
+        ).outcomes
+        assert calls[-1] == (7, 7)
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_cluster_matches_serial(self, jobs):
+        # Cluster workers only import point functions from trusted
+        # package modules, so use a sweep kind's bound point callable.
+        from repro.sim.catalog import SWEEP_KINDS
+
+        kind = SWEEP_KINDS["fig4a"]
+        params = kind.validate({"n_values": [64, 128], "w_values": [2, 3], "samples": 20})
+        fn, grid = kind.bind(params, 5), kind.grid(params)
+        result = run_grid(fn, grid, jobs=jobs, cluster=2)
+        assert result.telemetry.n_points == len(grid)
+        assert result.outcomes == run_sweep(fn, grid).outcomes
 
 
 class TestAbandonCleanup:

@@ -27,9 +27,7 @@ from repro.sim.engines import (
     ENGINES,
     TRACE_ENGINES,
     available_engines,
-    available_trace_engines,
     get_engine,
-    get_trace_engine,
     simulate_trace,
 )
 from repro.sim.trace_driven import (
@@ -279,11 +277,11 @@ class TestEngineRegistry:
     def test_legacy_helpers_match_registry(self):
         assert set(TRACE_ENGINES) == {"reference", "fast"}
         assert DEFAULT_TRACE_ENGINE == "fast"
-        assert available_trace_engines() == ("fast", "reference")
-        assert get_trace_engine() is simulate_trace_aliasing_fast
-        assert get_trace_engine("reference") is simulate_trace_aliasing
+        assert available_engines("trace") == ("fast", "reference")
+        assert get_engine("trace") is simulate_trace_aliasing_fast
+        assert get_engine("trace", "reference") is simulate_trace_aliasing
         with pytest.raises(ValueError, match="trace-driven engine 'warp'"):
-            get_trace_engine("warp")
+            get_engine("trace", "warp")
 
     def test_lookup_by_name_both_kinds(self):
         assert get_engine("trace", "reference") is simulate_trace_aliasing
