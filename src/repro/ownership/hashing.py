@@ -37,6 +37,9 @@ IntOrArray = Union[int, np.ndarray]
 #: (Knuth, TAOCP vol. 3 §6.4).
 _GOLDEN_64 = 0x9E3779B97F4A7C15
 
+_INT64_LIMIT = 1 << 63
+_U64_MASK = (1 << 64) - 1
+
 
 @runtime_checkable
 class HashFunction(Protocol):
@@ -64,6 +67,19 @@ def _as_u64(block_addr: IntOrArray) -> np.ndarray:
     return arr
 
 
+def _is_plain(block_addr: IntOrArray, n_entries: int) -> bool:
+    """Whether Python integer arithmetic gives the numpy path's exact result.
+
+    True for a plain ``int`` (not ``bool``, not a numpy scalar) in
+    ``[0, 2**63)`` on a table of at most ``2**63`` entries: every hash
+    and tag then fits ``int64`` unchanged, and numpy's ``uint64`` shifts
+    by 64 or more yield 0, as Python's do.  Scalar lookups from the
+    ownership tables take this path; it skips a few microseconds of
+    array round-trips per call.
+    """
+    return type(block_addr) is int and 0 <= block_addr < _INT64_LIMIT and n_entries <= _INT64_LIMIT
+
+
 def _unwrap(result: np.ndarray, like: IntOrArray) -> IntOrArray:
     if np.isscalar(like) or (isinstance(like, np.ndarray) and like.ndim == 0):
         return int(result)
@@ -86,11 +102,15 @@ class MaskHash:
             raise ValueError(f"MaskHash requires a power-of-two table, got {self.n_entries}")
 
     def __call__(self, block_addr: IntOrArray) -> IntOrArray:
+        if _is_plain(block_addr, self.n_entries):
+            return block_addr & (self.n_entries - 1)
         arr = _as_u64(block_addr)
         out = (arr & np.uint64(self.n_entries - 1)).astype(np.int64)
         return _unwrap(out, block_addr)
 
     def tag_of(self, block_addr: IntOrArray) -> IntOrArray:
+        if _is_plain(block_addr, self.n_entries):
+            return block_addr >> (self.n_entries.bit_length() - 1)
         arr = _as_u64(block_addr)
         out = (arr >> np.uint64(log2_int(self.n_entries))).astype(np.int64)
         return _unwrap(out, block_addr)
@@ -114,6 +134,9 @@ class MultiplicativeHash:
             )
 
     def __call__(self, block_addr: IntOrArray) -> IntOrArray:
+        if _is_plain(block_addr, self.n_entries):
+            mixed = (block_addr * _GOLDEN_64) & _U64_MASK
+            return mixed >> (65 - self.n_entries.bit_length())
         arr = _as_u64(block_addr)
         shift = np.uint64(64 - log2_int(self.n_entries))
         mixed = arr * np.uint64(_GOLDEN_64)  # wraps mod 2^64 by dtype
@@ -124,6 +147,8 @@ class MultiplicativeHash:
         # The multiplicative map is a bijection on 64-bit words, but the
         # dropped low bits are not simply "the rest of the address"; store
         # the full block address as the tag (correct, if not minimal).
+        if _is_plain(block_addr, self.n_entries):
+            return block_addr
         arr = _as_u64(block_addr).astype(np.int64)
         return _unwrap(arr, block_addr)
 
@@ -144,6 +169,10 @@ class XorFoldHash:
             raise ValueError(f"XorFoldHash requires a power-of-two table, got {self.n_entries}")
 
     def __call__(self, block_addr: IntOrArray) -> IntOrArray:
+        if _is_plain(block_addr, self.n_entries):
+            bits = self.n_entries.bit_length() - 1
+            folded = block_addr ^ (block_addr >> bits) ^ (block_addr >> (2 * bits))
+            return folded & (self.n_entries - 1)
         arr = _as_u64(block_addr)
         bits = np.uint64(log2_int(self.n_entries))
         folded = arr ^ (arr >> bits) ^ (arr >> (bits * np.uint64(2)))
@@ -151,6 +180,8 @@ class XorFoldHash:
         return _unwrap(out, block_addr)
 
     def tag_of(self, block_addr: IntOrArray) -> IntOrArray:
+        if _is_plain(block_addr, self.n_entries):
+            return block_addr
         arr = _as_u64(block_addr).astype(np.int64)
         return _unwrap(arr, block_addr)
 

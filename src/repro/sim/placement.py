@@ -43,7 +43,7 @@ from repro.ownership.hashing import make_hash
 from repro.ownership.tagged import TaggedOwnershipTable
 from repro.ownership.tagless import TaglessOwnershipTable
 from repro.sim.montecarlo import collision_probability_estimate, cross_thread_conflicts
-from repro.sim.trace_driven import _window_footprint
+from repro.sim.trace_fast import _draw_starts, _stack_footprints, _window_index, _WindowIndex
 from repro.traces.synthetic import zipf_working_set
 from repro.util.rng import stream_rng
 
@@ -154,8 +154,8 @@ def _placed_thread_streams(
     write_fraction: float,
     write_footprint: int,
     seed: int,
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per-thread (blocks, is_write) streams over one shared placed heap.
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Per-thread (ids, is_write) streams over one shared placed heap.
 
     Rebuilt (and memoized) per process from scalars — cluster workers
     receive only these in the point kwargs, keeping the wire code- and
@@ -165,6 +165,12 @@ def _placed_thread_streams(
     deterministically (drawing more from the same rng) until it holds at
     least ``write_footprint`` distinct written blocks, so every window
     draw can reach W writes.
+
+    Returns ``(blocks, streams)``: the heap's sorted distinct blocks, and
+    each thread's stream with blocks relabelled to dense ids into
+    ``blocks``.  The relabelling is injective and order-preserving, so
+    windows, conflict verdicts and sorted footprints over ids are those
+    over blocks.
     """
     rng = stream_rng(
         seed,
@@ -178,15 +184,15 @@ def _placed_thread_streams(
     )
     total = concurrency * objects_per_thread
     sizes = draw_object_sizes(rng, total)
-    heap = placed_heap(placement, sizes)
+    blocks, block_id = np.unique(placed_heap(placement, sizes), return_inverse=True)
     chunk = max(2048, 64 * write_footprint)
     streams = []
     for t in range(concurrency):
-        owned = np.arange(objects_per_thread, dtype=np.int64) * concurrency + t
-        parts_b: list[np.ndarray] = []
+        owned = block_id[np.arange(objects_per_thread, dtype=np.int64) * concurrency + t]
+        parts_i: list[np.ndarray] = []
         parts_w: list[np.ndarray] = []
         for _ in range(_MAX_STREAM_GROWTH):
-            ids, writes = zipf_working_set(
+            objects, writes = zipf_working_set(
                 rng,
                 chunk,
                 working_set_blocks=objects_per_thread,
@@ -194,12 +200,12 @@ def _placed_thread_streams(
                 base=0,
                 write_fraction=write_fraction,
             )
-            parts_b.append(heap[owned[ids]])
+            parts_i.append(owned[objects])
             parts_w.append(writes)
-            blocks = np.concatenate(parts_b)
+            ids = np.concatenate(parts_i)
             is_write = np.concatenate(parts_w)
-            if len(np.unique(blocks[is_write])) >= write_footprint:
-                streams.append((blocks, is_write))
+            if len(np.unique(ids[is_write])) >= write_footprint:
+                streams.append((ids, is_write))
                 break
         else:
             raise ValueError(
@@ -207,7 +213,29 @@ def _placed_thread_streams(
                 f"written blocks with {objects_per_thread} objects at "
                 f"skew={skew}, write_fraction={write_fraction}"
             )
-    return tuple(streams)
+    return blocks, tuple(streams)
+
+
+def _indexed_windows(
+    streams: tuple[tuple[np.ndarray, np.ndarray], ...],
+    rng: np.random.Generator,
+    draws: int,
+    w: int,
+) -> tuple[list[_WindowIndex], list[np.ndarray]]:
+    """Every transaction window a run opens, indexed per thread.
+
+    Start offsets are drawn up front, one ``integers(0, len(stream))``
+    per window, draw-major and thread-minor (every result depends on
+    this order).  Each thread's windows are then cut once per distinct
+    offset.  Returns each thread's window
+    index and, per thread, the index row of each of its ``draws`` windows.
+    """
+    starts = _draw_starts(rng, [len(ids) for ids, _ in streams], draws)
+    windows = [
+        _window_index(ids, is_write, np.unique(starts[:, t]), w)
+        for t, (ids, is_write) in enumerate(streams)
+    ]
+    return windows, [ix.rows(starts[:, t]) for t, ix in enumerate(windows)]
 
 
 def simulate_placement_conflicts(
@@ -217,13 +245,13 @@ def simulate_placement_conflicts(
 
     Per sample, every thread opens a transaction at a random start of
     its stream and collects the distinct-block footprint reaching W
-    writes (:func:`repro.sim.trace_driven._window_footprint`).  The
-    batched conflict kernel then runs twice per batch — once on hashed
-    table entries (what a tagless table sees), once on raw block
-    addresses (what a tagged table would see) — and the difference is
-    the placement-and-hash-induced false-conflict rate.
+    writes (looked up in the window index of
+    :mod:`repro.sim.trace_fast`).  The batched conflict kernel then runs
+    twice per batch — once on hashed table entries (what a tagless table
+    sees), once on raw blocks (what a tagged table would see) — and the
+    difference is the placement-and-hash-induced false-conflict rate.
     """
-    streams = _placed_thread_streams(
+    blocks, streams = _placed_thread_streams(
         cfg.placement,
         cfg.concurrency,
         cfg.objects_per_thread,
@@ -233,9 +261,6 @@ def simulate_placement_conflicts(
         cfg.seed,
     )
     hash_fn = make_hash(cfg.hash_kind, cfg.n_entries)
-    # Pads for the raw-block kernel must be distinct and beyond any real
-    # address; pads for the entry kernel sit beyond the table.
-    pad_base = max(int(blocks.max()) for blocks, _ in streams) + 1
     rng = stream_rng(
         cfg.seed,
         "alloc-placement",
@@ -248,67 +273,30 @@ def simulate_placement_conflicts(
         skew=cfg.skew,
         wf=cfg.write_fraction,
     )
+    windows, rows = _indexed_windows(streams, rng, cfg.samples, cfg.write_footprint)
+    hashed = np.asarray(hash_fn(blocks), dtype=np.int64)
+    entry_fps, block_fps = [], []
+    for ix, (ids, _) in zip(windows, streams):
+        entry_fps.append(ix.footprints(hashed[ids], cfg.n_entries))
+        block_fps.append(ix.footprints(ids, len(blocks)))
 
     conflict = np.zeros(cfg.samples, dtype=bool)
     shared_block = np.zeros(cfg.samples, dtype=bool)
-    wlen_sum = 0
-    wlen_count = 0
-    done = 0
-    c = cfg.concurrency
-    while done < cfg.samples:
-        todo = min(batch, cfg.samples - done)
-        per_sample: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        width = 0
-        for _ in range(todo):
-            thread_fps = []
-            for blocks, is_write in streams:
-                start = int(rng.integers(0, len(blocks)))
-                distinct, written, win_len = _window_footprint(
-                    blocks, is_write, start, cfg.write_footprint
-                )
-                thread_fps.append((distinct, written))
-                wlen_sum += win_len
-                wlen_count += 1
-                width = max(width, len(distinct))
-            per_sample.append(thread_fps)
+    for lo in range(0, cfg.samples, batch):
+        part = [r[lo : lo + batch] for r in rows]
+        conflict[lo : lo + batch] = cross_thread_conflicts(*_stack_footprints(entry_fps, part))
+        shared_block[lo : lo + batch] = cross_thread_conflicts(*_stack_footprints(block_fps, part))
 
-        # Padded batches, shape (todo, C * width); pads are read-only and
-        # unique per column, so they can never conflict.
-        entries_mat = np.tile(
-            cfg.n_entries + np.arange(c * width, dtype=np.int64), (todo, 1)
-        )
-        blocks_mat = np.tile(
-            pad_base + np.arange(c * width, dtype=np.int64), (todo, 1)
-        )
-        writes_mat = np.zeros((todo, c * width), dtype=bool)
-        thread_of = np.repeat(np.arange(c, dtype=np.int64), width)
-        for i, thread_fps in enumerate(per_sample):
-            for t, (distinct, written) in enumerate(thread_fps):
-                lo = t * width
-                entries_mat[i, lo : lo + len(distinct)] = np.asarray(
-                    hash_fn(distinct), dtype=np.int64
-                )
-                blocks_mat[i, lo : lo + len(distinct)] = distinct
-                writes_mat[i, lo : lo + len(distinct)] = written
-        conflict[done : done + todo] = cross_thread_conflicts(
-            entries_mat, writes_mat, thread_of
-        )
-        shared_block[done : done + todo] = cross_thread_conflicts(
-            blocks_mat, writes_mat, thread_of
-        )
-        done += todo
-
+    wlen_sum = sum(int(ix.win_lens[r].sum()) for ix, r in zip(windows, rows))
     false = conflict & ~shared_block
-    p_conflict = float(conflict.mean())
-    p_block = float(shared_block.mean())
     p_false, stderr = collision_probability_estimate(false)
     return PlacementConflictResult(
         config=cfg,
-        conflict_probability=p_conflict,
-        block_conflict_probability=p_block,
+        conflict_probability=float(conflict.mean()),
+        block_conflict_probability=float(shared_block.mean()),
         false_conflict_probability=p_false,
         stderr=stderr,
-        mean_window_accesses=wlen_sum / wlen_count,
+        mean_window_accesses=wlen_sum / (cfg.samples * cfg.concurrency),
     )
 
 
@@ -388,7 +376,7 @@ def simulate_table_ab(cfg: TableABConfig) -> TableABResult:
     replay byte-identical streams and schedules — the table is the only
     A/B variable.
     """
-    streams = _placed_thread_streams(
+    blocks, streams = _placed_thread_streams(
         cfg.placement,
         cfg.concurrency,
         cfg.objects_per_thread,
@@ -416,19 +404,27 @@ def simulate_table_ab(cfg: TableABConfig) -> TableABResult:
         wf=cfg.write_fraction,
     )
 
+    windows, rows = _indexed_windows(streams, rng, cfg.rounds, cfg.write_footprint)
+    # Each window's transaction: its distinct blocks as sorted Python
+    # ints, each with its write flag; txns_by_thread[t][r] is round r's.
+    block_list = blocks.tolist()
+    txns_by_thread = []
+    for ix, (ids, _), thread_rows in zip(windows, streams, rows):
+        fp = ix.footprints(ids, len(blocks))
+        labels, writes = fp.labels.tolist(), fp.writes.tolist()
+        row_txns = [
+            list(zip([block_list[b] for b in labels[r][:k]], writes[r][:k]))
+            for r, k in enumerate(fp.counts.tolist())
+        ]
+        txns_by_thread.append([row_txns[r] for r in thread_rows.tolist()])
+
     c = cfg.concurrency
     aborts = 0
     committed = 0
     simple_sum = 0.0
     max_chain = 0
-    for _ in range(cfg.rounds):
-        txns: list[list[tuple[int, bool]]] = []
-        for blocks, is_write in streams:
-            start = int(rng.integers(0, len(blocks)))
-            distinct, written, _ = _window_footprint(
-                blocks, is_write, start, cfg.write_footprint
-            )
-            txns.append(list(zip(distinct.tolist(), written.tolist())))
+    for rnd in range(cfg.rounds):
+        txns = [thread_txns[rnd] for thread_txns in txns_by_thread]
         alive = [True] * c
         idx = [0] * c
         remaining = c

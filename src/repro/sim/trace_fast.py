@@ -54,7 +54,7 @@ integer sum divided by an integer count in both engines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,19 +72,42 @@ _SCRATCH_ELEMS = 1 << 22
 
 
 @dataclass(frozen=True)
-class _WindowIndex:
-    """Precomputed per-(stream, W, hash) window tables.
+class _Footprints:
+    """Every indexed window's sorted distinct labels, padded to the widest row.
 
-    Rows correspond to the sorted unique start offsets actually drawn;
-    ``entries``/``writes`` are padded to the widest row with the
-    read-only entry ``n_entries``.
+    Pads hold the read-only label ``pad``, one past every real label, so
+    they can never conflict.
     """
 
+    labels: np.ndarray  # (U, width) sorted distinct labels per row
+    writes: np.ndarray  # (U, width) write-dominance flags, False on pads
+    counts: np.ndarray  # (U,) distinct labels per row
+
+
+@dataclass(frozen=True)
+class _WindowIndex:
+    """The windows of one stream at the sorted unique start offsets drawn."""
+
+    is_write: np.ndarray  # (L,) the stream's write flags
     offsets: np.ndarray  # (U,) sorted unique start offsets
     win_lens: np.ndarray  # (U,) raw window length (accesses) per offset
-    entries: np.ndarray  # (U, width) sorted distinct hashed entries
-    writes: np.ndarray  # (U, width) write-dominance flags, False on pads
-    counts: np.ndarray  # (U,) distinct entries per row
+
+    def rows(self, starts: np.ndarray) -> np.ndarray:
+        """Row of each drawn start offset."""
+        return np.searchsorted(self.offsets, starts)
+
+    def footprints(self, labels: np.ndarray, pad: int) -> _Footprints:
+        """Footprints of every window over per-access ``labels`` (all < ``pad``).
+
+        ``labels`` may be hashed table entries (what a tagless table
+        sees) or an injective relabelling of the blocks such as dense ids
+        (what a tagged table sees): conflict verdicts only compare labels
+        for equality.
+        """
+        ext_writes = np.concatenate([self.is_write, self.is_write])
+        return _compact_footprints(
+            np.concatenate([labels, labels]), ext_writes, self.offsets, self.win_lens, pad
+        )
 
 
 def _draw_starts(rng: np.random.Generator, lengths: list[int], samples: int) -> np.ndarray:
@@ -226,13 +249,12 @@ def _compact_footprints(
     offsets: np.ndarray,
     win_lens: np.ndarray,
     pad: int,
-    n_entries: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> _Footprints:
     """Distinct-entry footprint of every window as padded matrices.
 
-    Row i holds window i's sorted distinct table entries with
+    Row i holds window i's sorted distinct entries (all < ``pad``) with
     write-dominated flags, padded to the widest row with the read-only
-    entry ``pad`` (== n_entries), which can never conflict.
+    entry ``pad``, which can never conflict.
 
     Windows are flattened back-to-back into ragged arrays (no padding to
     the longest window, whose outliers would dominate) and deduplicated
@@ -243,7 +265,7 @@ def _compact_footprints(
     counts = np.zeros(u, dtype=np.int64)
     pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     ends = np.cumsum(win_lens)
-    stride = n_entries + 1  # entries are < n_entries; headroom for safety
+    stride = pad + 1  # entries are < pad; headroom for safety
     lo = 0
     while lo < u:
         hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + _SCRATCH_ELEMS)))
@@ -277,30 +299,55 @@ def _compact_footprints(
     for rows_g, rank, vals, flags in pieces:
         entries[rows_g, rank] = vals
         writes[rows_g, rank] = flags
-    return entries, writes, counts
+    return _Footprints(entries, writes, counts)
 
 
-def _build_window_index(
-    stream, offsets: np.ndarray, w: int, hash_fn: HashFunction, n_entries: int
+def _window_index(
+    blocks: np.ndarray, is_write: np.ndarray, offsets: np.ndarray, w: int
 ) -> _WindowIndex:
-    blocks = stream.blocks
-    is_write = stream.is_write
+    """Cut the window reaching ``w`` distinct writes at every drawn offset.
+
+    The stream must hold ``w`` distinct written blocks
+    (:func:`_check_reachable`).  Few offsets take the vectorized
+    doubling scan; offsets dense enough to cover the stream take the
+    O(L) two-pointer sweep.
+    """
     n = len(blocks)
-    _check_reachable(blocks, is_write, w)
-    hashed = np.asarray(hash_fn(blocks), dtype=np.int64)
-    # Doubled arrays make every wrapped window a contiguous slice: a
-    # window never exceeds one full cycle of the stream.
-    ext_entries = np.concatenate([hashed, hashed])
-    ext_writes = np.concatenate([is_write, is_write])
     if len(offsets) * max(64, 8 * w) <= 8 * n:
-        ext_blocks = np.concatenate([blocks, blocks])
-        win_lens = _window_lengths_sparse(ext_blocks, ext_writes, offsets, w, n)
+        # Doubled arrays make every wrapped window a contiguous slice: a
+        # window never exceeds one full cycle of the stream.
+        win_lens = _window_lengths_sparse(
+            np.concatenate([blocks, blocks]),
+            np.concatenate([is_write, is_write]),
+            offsets,
+            w,
+            n,
+        )
     else:
         win_lens = _window_lengths_dense(blocks, is_write, offsets, w)
-    entries, writes, counts = _compact_footprints(
-        ext_entries, ext_writes, offsets, win_lens, n_entries, n_entries
+    return _WindowIndex(is_write, offsets, win_lens)
+
+
+def _stack_footprints(
+    footprints: Sequence[_Footprints], rows: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One batched kernel input from each thread's footprint rows.
+
+    Thread ``t`` contributes ``footprints[t]`` at ``rows[t]``, cut to the
+    batch's widest row; returns ``(entries, writes, thread_of)`` for
+    :func:`~repro.sim.montecarlo.cross_thread_conflicts`.
+    """
+    entries, writes, thread_of = [], [], []
+    for t, (fp, r) in enumerate(zip(footprints, rows)):
+        wt = int(fp.counts[r].max())
+        entries.append(fp.labels[r, :wt])
+        writes.append(fp.writes[r, :wt])
+        thread_of.append(np.full(wt, t, dtype=np.int64))
+    return (
+        np.concatenate(entries, axis=1),
+        np.concatenate(writes, axis=1),
+        np.concatenate(thread_of),
     )
-    return _WindowIndex(offsets, win_lens, entries, writes, counts)
 
 
 def simulate_trace_aliasing_fast(
@@ -338,19 +385,20 @@ def simulate_trace_aliasing_fast(
     # reuses streams when C exceeds the trace's thread count), built over
     # the union of offsets drawn for every slot sharing that stream.
     slot_tid = [t % trace.n_threads for t in range(c)]
-    index_by_tid: dict[int, _WindowIndex] = {}
+    index_by_tid: dict[int, tuple[_WindowIndex, _Footprints]] = {}
     for t in range(c):
         tid = slot_tid[t]
         if tid in index_by_tid:
             continue
         cols = [u for u in range(c) if slot_tid[u] == tid]
-        index_by_tid[tid] = _build_window_index(
-            streams[t],
-            np.unique(starts[:, cols]),
-            cfg.write_footprint,
-            hash_fn,
-            cfg.n_entries,
+        stream = streams[t]
+        _check_reachable(stream.blocks, stream.is_write, cfg.write_footprint)
+        ix = _window_index(
+            stream.blocks, stream.is_write, np.unique(starts[:, cols]), cfg.write_footprint
         )
+        hashed = np.asarray(hash_fn(stream.blocks), dtype=np.int64)
+        index_by_tid[tid] = ix, ix.footprints(hashed, cfg.n_entries)
+    slots = [index_by_tid[tid] for tid in slot_tid]
 
     outcomes = np.zeros(cfg.samples, dtype=bool)
     wlen_sum = 0
@@ -358,21 +406,10 @@ def simulate_trace_aliasing_fast(
     while done < cfg.samples:
         todo = min(batch, cfg.samples - done)
         sb = starts[done : done + todo]
-        entry_blocks = []
-        write_blocks = []
-        thread_of = []
-        for t in range(c):
-            ix = index_by_tid[slot_tid[t]]
-            rows = np.searchsorted(ix.offsets, sb[:, t])
-            wt = int(ix.counts[rows].max())
-            entry_blocks.append(ix.entries[rows, :wt])
-            write_blocks.append(ix.writes[rows, :wt])
-            thread_of.append(np.full(wt, t, dtype=np.int64))
-            wlen_sum += int(ix.win_lens[rows].sum())
+        rows = [ix.rows(sb[:, t]) for t, (ix, _) in enumerate(slots)]
+        wlen_sum += sum(int(ix.win_lens[r].sum()) for (ix, _), r in zip(slots, rows))
         outcomes[done : done + todo] = cross_thread_conflicts(
-            np.concatenate(entry_blocks, axis=1),
-            np.concatenate(write_blocks, axis=1),
-            np.concatenate(thread_of),
+            *_stack_footprints([fp for _, fp in slots], rows)
         )
         done += todo
 

@@ -17,42 +17,29 @@ from repro.traces.events import AccessTrace, ThreadedTrace
 __all__ = ["remove_true_conflicts", "shared_blocks"]
 
 
+def _toucher_counts(trace: ThreadedTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct blocks of the trace and how many threads touch each."""
+    per_thread = [np.unique(thread.blocks) for thread in trace]
+    return np.unique(np.concatenate(per_thread), return_counts=True)
+
+
 def shared_blocks(trace: ThreadedTrace) -> np.ndarray:
     """Blocks touched by more than one thread, regardless of mode."""
     if trace.n_threads == 0:
         return np.empty(0, dtype=np.int64)
-    seen_once: set[int] = set()
-    seen_multi: set[int] = set()
-    for thread in trace:
-        for block in np.unique(thread.blocks):
-            b = int(block)
-            if b in seen_once:
-                seen_multi.add(b)
-            else:
-                seen_once.add(b)
-    return np.array(sorted(seen_multi), dtype=np.int64)
+    blocks, touchers = _toucher_counts(trace)
+    return blocks[touchers >= 2]
 
 
 def _truly_conflicting_blocks(trace: ThreadedTrace) -> np.ndarray:
     """Blocks where a cross-thread true conflict (≥1 write) exists."""
     # A block truly conflicts iff it is touched by >= 2 threads and at
-    # least one of those threads writes it. Compute per-block reader and
-    # writer thread counts.
-    toucher_count: dict[int, int] = {}
-    writer_count: dict[int, int] = {}
-    for thread in trace:
-        touched = np.unique(thread.blocks)
-        written = thread.write_blocks
-        for block in touched:
-            toucher_count[int(block)] = toucher_count.get(int(block), 0) + 1
-        for block in written:
-            writer_count[int(block)] = writer_count.get(int(block), 0) + 1
-    conflicting = [
-        block
-        for block, touchers in toucher_count.items()
-        if touchers >= 2 and writer_count.get(block, 0) >= 1
-    ]
-    return np.array(sorted(conflicting), dtype=np.int64)
+    # least one of those threads writes it.
+    if trace.n_threads == 0:
+        return np.empty(0, dtype=np.int64)
+    blocks, touchers = _toucher_counts(trace)
+    written = np.concatenate([thread.write_blocks for thread in trace])
+    return blocks[(touchers >= 2) & np.isin(blocks, written)]
 
 
 def remove_true_conflicts(trace: ThreadedTrace) -> ThreadedTrace:

@@ -32,6 +32,7 @@ variability.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -138,28 +139,48 @@ def _layout_new_blocks(
     fracs = fracs / fracs.sum() * (1.0 - profile.hot_frac)
     fracs = np.append(fracs, profile.hot_frac)  # kinds: seq, stride, rand, hot
 
+    # The cdf ``rng.choice(4, p=fracs)`` searches; drawing the kind as
+    # ``bisect_right(cdf, rng.random())`` consumes the generator exactly
+    # as that call does, and ``strides[rng.integers(0, k)]`` exactly as
+    # ``rng.choice(strides)`` (both pinned in tests/sim/test_trace_fast.py).
+    cdf = fracs.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    strides = profile.strides
+    p_length = 1.0 / profile.burst_length
+    random, integers, geometric = rng.random, rng.integers, rng.geometric
+
     #: the page-aligned hot-set stride (8 KB in 64 B blocks)
     hot_stride = 128
-    hot_base = base + profile.span + int(rng.integers(0, profile.span))
+    hot_base = base + profile.span + int(integers(0, profile.span))
     hot_count = 0
 
-    blocks: list[np.ndarray] = []
+    # Burst i covers starts[i] + steps[i] * arange(lengths[i]).
+    starts: list[int] = []
+    steps: list[int] = []
+    lengths: list[int] = []
     produced = 0
     while produced < n_new:
-        kind = rng.choice(4, p=fracs)
+        kind = bisect_right(cdf, random())
         if kind == 3:  # hot-set singleton: next page-aligned slot
-            burst = np.array([hot_base + hot_stride * hot_count], dtype=np.int64)
+            start, step, length = hot_base + hot_stride * hot_count, 0, 1
             hot_count += 1
         elif kind == 2:  # random singleton
-            burst = np.array([base + int(rng.integers(0, profile.span))], dtype=np.int64)
+            start, step, length = base + int(integers(0, profile.span)), 0, 1
         else:
-            length = min(n_new - produced, 1 + int(rng.geometric(1.0 / profile.burst_length)))
-            start = base + int(rng.integers(0, profile.span))
-            step = 1 if kind == 0 else int(rng.choice(profile.strides))
-            burst = start + step * np.arange(length, dtype=np.int64)
-        blocks.append(burst)
-        produced += len(burst)
-    out = np.concatenate(blocks)[:n_new]
+            length = min(n_new - produced, 1 + int(geometric(p_length)))
+            start = base + int(integers(0, profile.span))
+            step = 1 if kind == 0 else strides[int(integers(0, len(strides)))]
+        starts.append(start)
+        steps.append(step)
+        lengths.append(length)
+        produced += length
+    reps = np.array(lengths, dtype=np.int64)
+    within = np.arange(n_new, dtype=np.int64) - np.repeat(np.cumsum(reps) - reps, reps)
+    out = (
+        np.repeat(np.array(starts, dtype=np.int64), reps)
+        + np.repeat(np.array(steps, dtype=np.int64), reps) * within
+    )
 
     # Enforce distinctness: collide-and-retry for the (rare) duplicates.
     seen, first_idx = np.unique(out, return_index=True)
@@ -167,14 +188,13 @@ def _layout_new_blocks(
         dup_mask = np.ones(n_new, dtype=bool)
         dup_mask[first_idx] = False
         n_dup = int(dup_mask.sum())
-        taken = set(int(b) for b in seen)
+        taken = set(seen.tolist())
         fresh = []
         while len(fresh) < n_dup:
-            candidate = base + int(rng.integers(0, profile.span))
+            candidate = base + int(integers(0, profile.span))
             if candidate not in taken:
                 taken.add(candidate)
                 fresh.append(candidate)
-        out = out.copy()
         out[dup_mask] = np.array(fresh, dtype=np.int64)
     return out
 

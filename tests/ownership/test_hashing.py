@@ -130,3 +130,50 @@ class TestMakeHash:
     @pytest.mark.parametrize("kind,cls", [("mask", MaskHash), ("multiplicative", MultiplicativeHash), ("xorfold", XorFoldHash)])
     def test_dispatch(self, kind, cls):
         assert isinstance(make_hash(kind, 64), cls)
+
+
+SCALAR_ADDRS = [0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+SCALAR_TYPES = {
+    "int": int,
+    "bool": bool,
+    "np.int64": np.int64,
+    "np.uint64": np.uint64,
+    "0-d array": lambda a: np.asarray(a, dtype=np.uint64),
+}
+# bool holds only 0 and 1; int64 stops below 2**63.
+SCALAR_CASES = [
+    (type_name, addr)
+    for type_name in sorted(SCALAR_TYPES)
+    for addr in SCALAR_ADDRS
+    if not (type_name == "bool" and addr > 1)
+    and not (type_name == "np.int64" and addr >= 2**63)
+]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 1024, 2**20])
+class TestScalarPath:
+    """Scalars hash to exactly what the vectorized path returns.
+
+    Plain ``int`` addresses take an integer-arithmetic shortcut; every
+    other scalar goes through numpy.  Both must agree with one element
+    of an array call, value and ``int`` type, across the 64-bit range.
+    """
+
+    @pytest.mark.parametrize("type_name,addr", SCALAR_CASES)
+    def test_scalar_matches_array(self, kind, n, type_name, addr):
+        h = make_hash(kind, n)
+        scalar = SCALAR_TYPES[type_name](addr)
+        arr = np.array([addr], dtype=np.uint64)
+        for fn, expected in ((h, h(arr)[0]), (h.tag_of, h.tag_of(arr)[0])):
+            got = fn(scalar)
+            assert type(got) is int
+            assert got == int(expected)
+
+    @pytest.mark.parametrize("addr", [-1, -(2**63), 2**64, 2**70])
+    def test_out_of_range_int_raises(self, kind, n, addr):
+        h = make_hash(kind, n)
+        with pytest.raises(OverflowError):
+            h(addr)
+        with pytest.raises(OverflowError):
+            h.tag_of(addr)

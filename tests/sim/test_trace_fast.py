@@ -7,11 +7,13 @@ conflict kernel verdicts — enforced through the shared
 ``approx``) on all result fields, across parametrized and
 hypothesis-random traces, all three hash kinds, wrap-around windows,
 and streams barely long enough to reach W.  Also pins the numpy
-property the vectorized start-draw path depends on, and covers the
-generalized (multi-kind) engine registry.
+properties the vectorized start-draw path and trace layout synthesis
+depend on, and covers the generalized (multi-kind) engine registry.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -252,6 +254,40 @@ class TestScalarVectorDraws:
         rng = np.random.default_rng(99)
         scalars = [int(rng.integers(0, n)) for _ in range(k)]
         assert scalars == vector.tolist()
+
+
+class TestChoiceDraws:
+    """The numpy properties trace layout synthesis is built on.
+
+    ``repro.traces.workloads._layout_new_blocks`` draws a burst kind as
+    ``bisect_right(cdf, rng.random())`` instead of ``rng.choice(4, p=p)``
+    and a stride as ``strides[rng.integers(0, k)]`` instead of
+    ``rng.choice(strides)``.  Both must pick the same value *and* leave
+    the generator in the same state; if a numpy upgrade changed
+    ``Generator.choice``, every synthesized trace would silently change.
+    """
+
+    @pytest.mark.parametrize(
+        "weights", [(8, 0.6, 0.18, 0.0084), (1, 1, 1, 0), (0, 1, 2, 0.5)]
+    )
+    def test_weighted_choice_is_bisect_of_random(self, weights):
+        p = np.array(weights, dtype=np.float64) / sum(weights)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.tolist()
+        for seed in range(300):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                assert bisect_right(cdf, a.random()) == b.choice(4, p=p)
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("seq", [(7, 33, 97), (5,), (1, 2, 4, 8, 16, 32, 64)])
+    def test_sequence_choice_is_integers_index(self, seq):
+        for seed in range(300):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                assert seq[int(a.integers(0, len(seq)))] == b.choice(seq)
+            assert a.random() == b.random()
 
 
 TestRegistryContract = registry_test_class(

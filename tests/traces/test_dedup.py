@@ -109,3 +109,45 @@ class TestRemoveTrueConflicts:
         for orig, new in zip(tt, cleaned):
             kept = [int(b) for b in orig.blocks if int(b) not in bad]
             assert list(new.blocks) == kept
+
+
+def _oracle(streams):
+    """Pure-Python (shared, truly conflicting) block lists."""
+    touchers: dict[int, int] = {}
+    writers: set[int] = set()
+    for stream in streams:
+        for block in {b for b, _ in stream}:
+            touchers[block] = touchers.get(block, 0) + 1
+        writers |= {b for b, w in stream if w}
+    shared = sorted(b for b, n in touchers.items() if n >= 2)
+    return shared, [b for b in shared if b in writers]
+
+
+class TestAgainstOracle:
+    @given(
+        streams=st.lists(
+            st.lists(
+                st.tuples(
+                    st.one_of(
+                        st.integers(min_value=0, max_value=20),
+                        st.integers(min_value=0, max_value=2**62),
+                    ),
+                    st.booleans(),
+                ),
+                max_size=40,
+            ),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pure_python(self, streams):
+        tt = ThreadedTrace(
+            [trace([b for b, _ in s], [w for _, w in s]) for s in streams]
+        )
+        shared, conflicting = _oracle(streams)
+        for got, expected in (
+            (shared_blocks(tt), shared),
+            (_truly_conflicting_blocks(tt), conflicting),
+        ):
+            assert got.dtype == np.int64
+            assert got.tolist() == expected
