@@ -17,17 +17,12 @@ from repro.traces.events import AccessTrace, ThreadedTrace
 __all__ = ["remove_true_conflicts", "shared_blocks"]
 
 
-def _toucher_counts(trace: ThreadedTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct blocks of the trace and how many threads touch each."""
-    per_thread = [np.unique(thread.blocks) for thread in trace]
-    return np.unique(np.concatenate(per_thread), return_counts=True)
-
-
 def shared_blocks(trace: ThreadedTrace) -> np.ndarray:
     """Blocks touched by more than one thread, regardless of mode."""
     if trace.n_threads == 0:
         return np.empty(0, dtype=np.int64)
-    blocks, touchers = _toucher_counts(trace)
+    per_thread = [np.unique(thread.blocks) for thread in trace]
+    blocks, touchers = np.unique(np.concatenate(per_thread), return_counts=True)
     return blocks[touchers >= 2]
 
 
@@ -35,11 +30,11 @@ def _truly_conflicting_blocks(trace: ThreadedTrace) -> np.ndarray:
     """Blocks where a cross-thread true conflict (≥1 write) exists."""
     # A block truly conflicts iff it is touched by >= 2 threads and at
     # least one of those threads writes it.
-    if trace.n_threads == 0:
-        return np.empty(0, dtype=np.int64)
-    blocks, touchers = _toucher_counts(trace)
+    shared = shared_blocks(trace)
+    if len(shared) == 0:
+        return shared
     written = np.concatenate([thread.write_blocks for thread in trace])
-    return blocks[(touchers >= 2) & np.isin(blocks, written)]
+    return shared[np.isin(shared, written)]
 
 
 def remove_true_conflicts(trace: ThreadedTrace) -> ThreadedTrace:
