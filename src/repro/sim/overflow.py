@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.htm.cache import CacheGeometry
-from repro.htm.htm import HTMContext
+from repro.htm.htm import HTMContext, HTMOverflow
+from repro.sim.overflow_fast import _FIRST_CHUNK
 from repro.sim.sweep import run_grid
-from repro.traces.workloads import SPEC2000_PROFILES, BenchmarkProfile, synthesize_trace
+from repro.traces.workloads import SPEC2000_PROFILES, BenchmarkProfile, _trace_prefixes
 from repro.util.rng import stream_rng
 
 __all__ = [
@@ -118,6 +119,32 @@ def simulate_htm_overflow(
     return ctx.run(trace)
 
 
+def _overflow_points(
+    profile: BenchmarkProfile,
+    cfg: OverflowConfig,
+    engine: Optional[str],
+) -> Iterator[Optional[HTMOverflow]]:
+    """Each of ``cfg``'s traces' overflow point, or ``None`` if it fits.
+
+    Feeds the engine growing prefixes of each trace and stops at the
+    first overflow.  The HTM model is causal, so an engine run on
+    ``trace[:hi]`` returns its full-trace verdict when the overflow index
+    is below ``hi`` and ``None`` otherwise; a trace that fits reaches
+    ``hi == trace_accesses`` and reports ``None`` as a full run would.
+    """
+    from repro.sim.engines import get_engine  # avoid import cycle
+
+    simulate = get_engine("overflow", engine)
+    for k in range(cfg.n_traces):
+        rng = stream_rng(cfg.seed, "overflow", bench=profile.name, trace=k)
+        ov = None
+        for prefix in _trace_prefixes(profile, cfg.trace_accesses, rng, _FIRST_CHUNK):
+            ov = simulate(prefix, cfg.geometry, victim_entries=cfg.victim_entries)
+            if ov is not None:
+                break
+        yield ov
+
+
 def characterize_overflow(
     profile: BenchmarkProfile,
     cfg: OverflowConfig,
@@ -130,34 +157,18 @@ def characterize_overflow(
     (``None`` means the default); engines are byte-identical, so the
     choice only changes wall-clock.
     """
-    from repro.sim.engines import get_engine  # avoid import cycle
-
-    simulate = get_engine("overflow", engine)
-    reads: list[int] = []
-    writes: list[int] = []
-    instrs: list[int] = []
-    utils: list[float] = []
-    fit = 0
-    for k in range(cfg.n_traces):
-        rng = stream_rng(cfg.seed, "overflow", bench=profile.name, trace=k)
-        trace = synthesize_trace(profile, cfg.trace_accesses, rng)
-        ov = simulate(trace, cfg.geometry, victim_entries=cfg.victim_entries)
-        if ov is None:
-            fit += 1
-            continue
-        reads.append(ov.footprint.read_blocks)
-        writes.append(ov.footprint.write_blocks)
-        instrs.append(ov.instructions)
-        utils.append(ov.utilization)
-    if not reads:
+    points = list(_overflow_points(profile, cfg, engine))
+    overflowed = [ov for ov in points if ov is not None]
+    fit = len(points) - len(overflowed)
+    if not overflowed:
         return OverflowResult(profile.name, 0.0, 0.0, 0.0, 0.0, 0, fit)
     return OverflowResult(
         benchmark=profile.name,
-        mean_read_blocks=float(np.mean(reads)),
-        mean_write_blocks=float(np.mean(writes)),
-        mean_instructions=float(np.mean(instrs)),
-        mean_utilization=float(np.mean(utils)),
-        traces_overflowed=len(reads),
+        mean_read_blocks=float(np.mean([ov.footprint.read_blocks for ov in overflowed])),
+        mean_write_blocks=float(np.mean([ov.footprint.write_blocks for ov in overflowed])),
+        mean_instructions=float(np.mean([ov.instructions for ov in overflowed])),
+        mean_utilization=float(np.mean([ov.utilization for ov in overflowed])),
+        traces_overflowed=len(overflowed),
         traces_fit=fit,
     )
 
@@ -272,24 +283,10 @@ def overflow_distribution(
     Uses the same per-trace seeds, so the distribution's means equal the
     summary's means exactly.
     """
-    from repro.sim.engines import get_engine  # avoid import cycle
-
-    simulate = get_engine("overflow", engine)
-    footprints: list[int] = []
-    writes: list[int] = []
-    instrs: list[int] = []
-    for k in range(cfg.n_traces):
-        rng = stream_rng(cfg.seed, "overflow", bench=profile.name, trace=k)
-        trace = synthesize_trace(profile, cfg.trace_accesses, rng)
-        ov = simulate(trace, cfg.geometry, victim_entries=cfg.victim_entries)
-        if ov is None:
-            continue
-        footprints.append(ov.footprint.total)
-        writes.append(ov.footprint.write_blocks)
-        instrs.append(ov.instructions)
+    overflowed = [ov for ov in _overflow_points(profile, cfg, engine) if ov is not None]
     return OverflowDistribution(
         benchmark=profile.name,
-        footprints=np.asarray(footprints, dtype=np.int64),
-        write_blocks=np.asarray(writes, dtype=np.int64),
-        instructions=np.asarray(instrs, dtype=np.int64),
+        footprints=np.asarray([ov.footprint.total for ov in overflowed], dtype=np.int64),
+        write_blocks=np.asarray([ov.footprint.write_blocks for ov in overflowed], dtype=np.int64),
+        instructions=np.asarray([ov.instructions for ov in overflowed], dtype=np.int64),
     )

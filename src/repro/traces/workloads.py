@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -199,13 +199,59 @@ def _layout_new_blocks(
     return out
 
 
-def _instr_indices(rng: np.random.Generator, n: int, instr_per_access: float) -> np.ndarray:
-    """Cumulative instruction indices with geometric gaps."""
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    p = min(1.0, 1.0 / instr_per_access)
-    gaps = rng.geometric(p, size=n).astype(np.int64)
-    return np.cumsum(gaps)
+def _synthesize_layout(
+    profile: BenchmarkProfile, n_accesses: int, rng: np.random.Generator, base: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 of :func:`synthesize_trace`: every draw whose count depends on ``n``.
+
+    Returns each access's block and whether that block is writable.
+    These draws stay full length: they fix the generator position of
+    everything after them, and the layout's duplicate fix checks each
+    fresh address against every laid-out block.
+    """
+    is_new = rng.random(n_accesses) < profile.new_block_rate
+    is_new[0] = True  # the first access necessarily touches a new block
+    n_new = int(is_new.sum())
+
+    new_blocks = _layout_new_blocks(profile, n_new, rng, base)
+    writable = rng.random(n_new) < profile.writable_fraction
+
+    # alloc_of[i] = index (into allocation order) of the block access i
+    # touches. New accesses touch their own allocation; reuse accesses
+    # pick a recency-biased earlier allocation.
+    alloc_seq = np.cumsum(is_new) - 1  # allocation index available at access i
+    offsets = rng.geometric(profile.reuse_recency, size=n_accesses) - 1
+    reuse_target = alloc_seq - offsets
+    # Fold out-of-range (too-old) targets back uniformly over history.
+    neg = reuse_target < 0
+    if np.any(neg):
+        reuse_target[neg] = (rng.random(int(neg.sum())) * (alloc_seq[neg] + 1)).astype(np.int64)
+    alloc_of = np.where(is_new, alloc_seq, reuse_target)
+    return new_blocks[alloc_of], writable[alloc_of]
+
+
+def _draw_tail(
+    profile: BenchmarkProfile,
+    writable_of: np.ndarray,
+    flags_rng: np.random.Generator,
+    gaps_rng: np.random.Generator,
+    lo: int,
+    hi: int,
+    is_write: np.ndarray,
+    instr: np.ndarray,
+) -> None:
+    """Stage 2: fill ``is_write[lo:hi]`` and ``instr[lo:hi]`` in place.
+
+    One store-flag double per access from ``flags_rng``, then one
+    geometric instruction gap per access from ``gaps_rng``.  Each value
+    depends only on its own draw, so a tail drawn in pieces equals one
+    drawn whole.
+    """
+    is_write[lo:hi] = writable_of[lo:hi] & (flags_rng.random(hi - lo) < profile.write_prob)
+    p = min(1.0, 1.0 / profile.instr_per_access)
+    np.cumsum(gaps_rng.geometric(p, size=hi - lo), out=instr[lo:hi])
+    if lo:
+        instr[lo:hi] += instr[lo - 1]
 
 
 def synthesize_trace(
@@ -225,30 +271,49 @@ def synthesize_trace(
         raise ValueError(f"n_accesses must be non-negative, got {n_accesses}")
     if n_accesses == 0:
         return AccessTrace(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-
-    is_new = rng.random(n_accesses) < profile.new_block_rate
-    is_new[0] = True  # the first access necessarily touches a new block
-    n_new = int(is_new.sum())
-
-    new_blocks = _layout_new_blocks(profile, n_new, rng, base)
-    writable = rng.random(n_new) < profile.writable_fraction
-
-    # alloc_of[i] = index (into allocation order) of the block access i
-    # touches. New accesses touch their own allocation; reuse accesses
-    # pick a recency-biased earlier allocation.
-    alloc_seq = np.cumsum(is_new) - 1  # allocation index available at access i
-    offsets = rng.geometric(profile.reuse_recency, size=n_accesses) - 1
-    reuse_target = alloc_seq - offsets
-    # Fold out-of-range (too-old) targets back uniformly over history.
-    neg = reuse_target < 0
-    if np.any(neg):
-        reuse_target[neg] = (rng.random(int(neg.sum())) * (alloc_seq[neg] + 1)).astype(np.int64)
-    alloc_of = np.where(is_new, alloc_seq, reuse_target)
-
-    blocks = new_blocks[alloc_of]
-    is_write = writable[alloc_of] & (rng.random(n_accesses) < profile.write_prob)
-    instr = _instr_indices(rng, n_accesses, profile.instr_per_access)
+    blocks, writable_of = _synthesize_layout(profile, n_accesses, rng, base)
+    is_write = np.empty(n_accesses, dtype=bool)
+    instr = np.empty(n_accesses, dtype=np.int64)
+    _draw_tail(profile, writable_of, rng, rng, 0, n_accesses, is_write, instr)
     return AccessTrace(blocks, is_write, instr)
+
+
+def _trace_prefixes(
+    profile: BenchmarkProfile,
+    n_accesses: int,
+    rng: np.random.Generator,
+    first: int,
+    *,
+    base: int = 0,
+) -> Iterator[AccessTrace]:
+    """Yield prefixes ``[0, hi)`` of ``synthesize_trace(profile, n_accesses, rng)``.
+
+    ``hi`` starts at ``first``, grows ×4 and stops at ``n_accesses``; a
+    consumer that stops early never pays for the rest of the per-access
+    tail.  Store flags come from ``rng`` as in :func:`synthesize_trace`;
+    the gaps come from a clone moved past all ``n_accesses`` store-flag
+    doubles with ``PCG64.advance`` (each ``random()`` double is exactly
+    one 64-bit output), where the full draw would start them.
+    """
+    if n_accesses == 0:
+        yield AccessTrace(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
+        return
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError(f"prefix synthesis needs a PCG64 generator, got {rng.bit_generator!r}")
+    blocks, writable_of = _synthesize_layout(profile, n_accesses, rng, base)
+    gaps_bits = np.random.PCG64()
+    gaps_bits.state = rng.bit_generator.state
+    gaps_bits.advance(n_accesses)
+    gaps_rng = np.random.Generator(gaps_bits)
+    is_write = np.empty(n_accesses, dtype=bool)
+    instr = np.empty(n_accesses, dtype=np.int64)
+    lo, hi = 0, min(n_accesses, first)
+    while True:
+        _draw_tail(profile, writable_of, rng, gaps_rng, lo, hi, is_write, instr)
+        yield AccessTrace(blocks[:hi], is_write[:hi], instr[:hi])
+        if hi == n_accesses:
+            return
+        lo, hi = hi, min(n_accesses, hi * 4)
 
 
 def _profiles() -> Mapping[str, BenchmarkProfile]:

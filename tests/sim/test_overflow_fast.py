@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm.cache import CacheGeometry
-from repro.sim.engines import simulate_overflow
+from repro.sim.engines import available_engines, get_engine, simulate_overflow
 from repro.sim.open_system import simulate_open_system
 from repro.sim.overflow import (
     OverflowConfig,
@@ -164,15 +164,20 @@ class TestAdversarialStreams:
         )
 
 
+#: Hypothesis-drawn random traces: small universes over small caches,
+#: so overflow, swap-backs and fitting traces all occur.
+RANDOM_TRACE_CASES = dict(
+    seed=st.integers(0, 2**31 - 1),
+    length=st.integers(1, 600),
+    universe=st.integers(1, 120),
+    write_fraction=st.floats(0.0, 1.0),
+    geo_name=st.sampled_from(sorted(GEOMETRIES)),
+    victim=st.integers(0, 6),
+)
+
+
 class TestDifferentialProperty:
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        length=st.integers(1, 600),
-        universe=st.integers(1, 120),
-        write_fraction=st.floats(0.0, 1.0),
-        geo_name=st.sampled_from(sorted(GEOMETRIES)),
-        victim=st.integers(0, 6),
-    )
+    @given(**RANDOM_TRACE_CASES)
     @settings(max_examples=40, deadline=None)
     def test_identical_on_random_traces(self, seed, length, universe,
                                         write_fraction, geo_name, victim):
@@ -182,6 +187,36 @@ class TestDifferentialProperty:
             rng.random(length) < write_fraction,
         )
         assert_identical(trace, GEOMETRIES[geo_name], victim)
+
+
+class TestPrefixCausality:
+    """The contract Figure 3's prefix loop relies on: on ``trace[:hi]``
+    each engine returns its full-trace verdict when the overflow index
+    is below ``hi``, and ``None`` otherwise."""
+
+    @given(**RANDOM_TRACE_CASES)
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_verdict_is_the_full_verdict_or_none(
+        self, seed, length, universe, write_fraction, geo_name, victim
+    ):
+        rng = np.random.default_rng(seed)
+        trace = make_trace(
+            rng.integers(0, universe, size=length),
+            rng.random(length) < write_fraction,
+        )
+        geo = GEOMETRIES[geo_name]
+        for name in available_engines("overflow"):
+            simulate = get_engine("overflow", name)
+            full = simulate(trace, geo, victim_entries=victim)
+            cuts = {0, 1, length // 3, length // 2, length - 1, length}
+            if full is not None:
+                cuts |= {full.access_index, full.access_index + 1}
+            for hi in sorted(cuts):
+                got = simulate(trace[:hi], geo, victim_entries=victim)
+                if full is not None and full.access_index < hi:
+                    assert got == full, (name, hi)
+                else:
+                    assert got is None, (name, hi)
 
 
 class TestCharacterizationLevel:
