@@ -19,21 +19,21 @@ sweeps out over a process pool (:mod:`repro.sim.parallel`) without
 changing a single digit of the output tables; setting ``cluster``
 routes them through an in-process coordinator + worker fleet
 (:mod:`repro.cluster`) — same bytes again.  Both choices are made by
-:func:`repro.sim.sweep.run_grid`, as on every other surface.
+:meth:`repro.sim.catalog.SweepKind.run`, as on every other surface.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from repro.analysis.tables import format_series, format_table
 from repro.core.model import ModelParams, conflict_likelihood_product_form
 from repro.core.sizing import concurrency_scaling_factor, table_entries_for_commit_probability
 from repro.sim.catalog import SWEEP_KINDS
 from repro.sim.engines import CLOSED_ENGINES, DEFAULT_CLOSED_ENGINE
-from repro.sim.sweep import SweepResult, run_grid
+from repro.sim.sweep import SweepResult
 from repro.sim.throughput import throughput_curve
 
 __all__ = ["ReportConfig", "generate_report"]
@@ -81,7 +81,7 @@ class ReportConfig:
 
 
 class _SweepRunner:
-    """Run report sweeps through :func:`repro.sim.sweep.run_grid`.
+    """Run report sweeps through :meth:`repro.sim.catalog.SweepKind.run`.
 
     Collects one telemetry record per pool or cluster sweep so the
     report can surface throughput and worker utilization at the end.
@@ -92,39 +92,21 @@ class _SweepRunner:
         self.cluster = cluster
         self.telemetry: list[tuple[str, Any]] = []
 
-    def __call__(
-        self,
-        name: str,
-        fn: Callable[..., Any],
-        grid: Sequence[Mapping[str, Any]],
-        frame: Optional[Any] = None,
-    ) -> SweepResult:
-        """Run one named sweep and record its telemetry.
-
-        ``frame`` (a :class:`repro.sim.frame.SweepFrame`) switches the
-        sweep to columnar accumulation; the returned result is the
-        frame-backed facade, byte-identical row-wise.
-        """
-        result = run_grid(fn, grid, jobs=self.jobs, cluster=self.cluster, frame=frame)
-        if result.telemetry is not None:
-            self.telemetry.append((name, result.telemetry))
-        return result
-
     def kind(self, name: str, kind_name: str, raw_params: Mapping[str, Any],
              seed: int) -> tuple[dict[str, Any], SweepResult]:
-        """Validate and run one sweep-kind grid; returns (params, sweep).
+        """Validate and run one named sweep-kind grid; returns (params, sweep).
 
         The single figure-definition path: the kind's schema normalizes
-        the request, its ``bind``/``grid`` produce the exact callable
-        and point list every other surface (CLI, service, cluster,
-        experiments) would run.
+        the request and its :meth:`~repro.sim.catalog.SweepKind.run`
+        executes exactly what every other surface (CLI, service,
+        cluster, experiments) would run.
         """
         kind = SWEEP_KINDS[kind_name]
         params = kind.validate(raw_params)
-        frame = kind.make_frame(params)
-        return params, self(
-            name, kind.bind(params, seed), kind.grid(params), frame=frame
-        )
+        sweep = kind.run(params, seed, jobs=self.jobs, cluster=self.cluster)
+        if sweep.telemetry is not None:
+            self.telemetry.append((name, sweep.telemetry))
+        return params, sweep
 
 
 def _section_model(out: io.StringIO, cfg: ReportConfig) -> None:

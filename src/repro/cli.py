@@ -51,7 +51,6 @@ from repro.core.sizing import table_entries_for_commit_probability
 from repro.sim.catalog import SWEEP_KINDS
 from repro.sim.closed_system import ClosedSystemConfig
 from repro.sim.engines import _KIND_DISPLAY, DEFAULT_ENGINES, available_engines
-from repro.sim.sweep import SweepResult, run_grid
 
 __all__ = ["main", "build_parser", "version_string"]
 
@@ -488,49 +487,44 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def _run_kind(kind_name: str, raw_params: Mapping[str, Any],
-              args: argparse.Namespace) -> tuple[dict[str, Any], SweepResult]:
-    """Resolve a sweep kind from the table and run its grid.
+              args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Validate the CLI flags through a sweep kind, run and assemble it.
 
-    One code path for every figure subcommand: validate the CLI flags
-    through the kind's schema (same messages as ``POST /v1/sweeps``),
-    bind the point callable, and execute serially, on the process pool,
-    or across in-process cluster workers.
+    One code path for every figure subcommand: the kind's schema gives
+    the same messages as ``POST /v1/sweeps``, and :meth:`SweepKind.run`
+    executes serially, on the process pool, or across in-process
+    cluster workers.  Returns the normalized params and the assembled
+    result.
     """
     kind = SWEEP_KINDS[kind_name]
     params = kind.validate(raw_params)
-    sweep = run_grid(
-        kind.bind(params, args.seed),
-        kind.grid(params),
-        jobs=args.jobs,
-        cluster=args.cluster,
-        frame=kind.make_frame(params),
+    sweep = kind.run(
+        params, args.seed, jobs=args.jobs, cluster=args.cluster,
         progress=_progress_line,
     )
     if sweep.telemetry is not None:
         print(f"[sweep] {sweep.telemetry.summary()}", file=sys.stderr)
-    return params, sweep
+    return params, kind.assemble(params, sweep)
 
 
 def _cmd_fig2a(args: argparse.Namespace) -> int:
-    params, sweep = _run_kind(
+    _, out = _run_kind(
         "fig2a",
         {"samples": args.samples, "threads": args.threads,
          "accesses": args.accesses, "engine": args.engine},
         args,
     )
-    out = SWEEP_KINDS["fig2a"].assemble(params, sweep)
     print(format_series("W", out["w_values"], out["series"],
                         title=f"Figure 2(a): alias likelihood (%), C=2, seed={args.seed}"))
     return 0
 
 
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    params, sweep = _run_kind(
+    _, out = _run_kind(
         "fig3",
         {"traces": args.traces, "victim": args.victim, "engine": args.engine},
         args,
     )
-    out = SWEEP_KINDS["fig3"].assemble(params, sweep)
     rows = [
         [
             r["bench"],
@@ -552,10 +546,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4a(args: argparse.Namespace) -> int:
-    params, sweep = _run_kind(
-        "fig4a", {"samples": args.samples, "engine": args.engine}, args
-    )
-    out = SWEEP_KINDS["fig4a"].assemble(params, sweep)
+    _, out = _run_kind("fig4a", {"samples": args.samples, "engine": args.engine}, args)
     print(format_series("W", out["w_values"], out["series"],
                         title=f"Figure 4(a): conflict likelihood (%), C=2, seed={args.seed}"))
     return 0
@@ -572,13 +563,13 @@ def _cmd_closed(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         seed=args.seed,
     )
-    _, sweep = _run_kind(
+    _, out = _run_kind(
         "closed",
         {"n_values": [args.n], "c_values": [args.c], "w_values": [args.w],
          "alpha": args.alpha, "engine": args.engine},
         args,
     )
-    r = sweep.outcomes[0]
+    r = out["points"][0]
     print(
         format_table(
             ["quantity", "value"],
@@ -599,16 +590,14 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
     w_values = [8, 12, 16, 20]
     n_values = [1024, 4096, 16384]
     ClosedSystemConfig(n_entries=n_values[0], concurrency=args.c, alpha=args.alpha)
-    _, sweep = _run_kind(
+    _, out = _run_kind(
         "closed",
         {"n_values": n_values, "c_values": [args.c], "w_values": w_values,
          "alpha": args.alpha, "engine": args.engine},
         args,
     )
     series = {
-        f"N={n}": sweep.where(n_entries=n).series(
-            "write_footprint", lambda r: float(r["conflicts"])
-        )[1]
+        f"N={n}": [float(r["conflicts"]) for r in out["points"] if r["n_entries"] == n]
         for n in n_values
     }
     # Engine choice deliberately stays out of stdout: both engines print
@@ -619,13 +608,12 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def _cmd_placement(args: argparse.Namespace) -> int:
-    params, sweep = _run_kind(
+    params, out = _run_kind(
         "placement",
         {"samples": args.samples, "w": args.w, "objects": args.objects,
          "skew": args.skew},
         args,
     )
-    out = SWEEP_KINDS["placement"].assemble(params, sweep)
     print(format_series(
         "N", out["n_values"], out["series"],
         title=f"Placement sensitivity: false conflicts (%), "
@@ -635,13 +623,12 @@ def _cmd_placement(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
-    params, sweep = _run_kind(
+    params, out = _run_kind(
         "fig7",
         {"rounds": args.rounds, "placement": args.placement,
          "hash_kind": args.hash_kind, "concurrency": args.c},
         args,
     )
-    out = SWEEP_KINDS["fig7"].assemble(params, sweep)
     print(format_series(
         "W", out["w_values"], out["series"],
         title=f"Figure 7: false conflicts by table, "
@@ -763,6 +750,7 @@ def _cmd_cluster_coordinate(args: argparse.Namespace) -> int:
         kind.grid(params),
         config,
         cache=cache,
+        frame=kind.make_frame(params),
     )
     with CoordinatorThread(coordinator):
         print(

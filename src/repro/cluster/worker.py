@@ -34,6 +34,7 @@ from repro.cluster.protocol import (
     SPEC_PATH,
     SweepSpec,
 )
+from repro.sim.parallel import first_failure
 from repro.sim.sweep import run_grid
 
 __all__ = ["ClusterWorker", "WorkerConfig", "WorkerThread", "run_worker"]
@@ -184,13 +185,18 @@ class ClusterWorker:
                     fn, points, jobs=self.config.jobs,
                     seed=spec.task.seed, label=spec.task.label,
                 )
-                outcomes = list(result.outcomes)
+                # A pool records a failed point instead of raising it;
+                # report it the way a serial run's exception is.
+                failure = first_failure(result)
+                detail = None if failure is None else failure.summary
             except Exception as exc:  # point function failed — report it
+                detail = f"{type(exc).__name__}: {exc}"
+            if detail is not None:
                 summary["chunks_errored"] += 1
-                self._submit(client, spec, lease_id, chunk, ok=False,
-                             detail=f"{type(exc).__name__}: {exc}")
+                self._submit(client, spec, lease_id, chunk, ok=False, detail=detail)
                 return
-            self._submit(client, spec, lease_id, chunk, ok=True, outcomes=outcomes)
+            self._submit(client, spec, lease_id, chunk, ok=True,
+                         outcomes=list(result.outcomes))
             summary["chunks_completed"] += 1
             summary["points_completed"] += chunk.count
         finally:

@@ -115,7 +115,7 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        """Total lookups observed (``lookup`` and ``get`` alike)."""
+        """Total :meth:`ResultCache.lookup` calls observed."""
         return self.hits + self.misses
 
     @property
@@ -193,15 +193,6 @@ class ResultCache:
             self._disk_hits += 1
             self._memory_put(key, value)
             return True, value
-
-    def get(self, key: str) -> Optional[Any]:
-        """Look up a key; returns the value or ``None`` on miss.
-
-        Kept for compatibility; it cannot distinguish a cached ``None``
-        from a miss — callers that store ``None`` should use
-        :meth:`lookup`.
-        """
-        return self.lookup(key)[1]
 
     def put(self, key: str, value: Any) -> None:
         """Store a value under a content address, in both tiers."""

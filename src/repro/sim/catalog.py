@@ -16,8 +16,8 @@ the same five ingredients:
 * the **grid axes** — which list-valued parameters fan out into points;
 * the **wire kwargs** — which scalar parameters (plus the seed) are
   partially applied to the point callable;
-* an **assembler** — folds the sweep outcomes into the JSON-safe
-  response shape.
+* an **assembler** — folds the sweep's :class:`~repro.sim.frame.SweepFrame`
+  into the JSON-safe response shape.
 
 Adding a kind is one table row: declare the schema, write a ~10-line
 point function and assembler, and the kind is immediately validatable,
@@ -49,11 +49,13 @@ cluster kwargs unchanged); engines are byte-identical by contract, so
 the choice only changes wall-clock — and it *is* part of the cache key,
 because the normalized params are.
 
-Executors go through :func:`repro.sim.sweep.run_grid`, which runs a
-grid serially, on the process pool (``jobs > 1``) or on the cluster
-(``execution: cluster``); all paths return identical numbers — the
-engines' determinism contract — so a cached result is
-indistinguishable from a recomputed one.
+Grid kinds run through :meth:`SweepKind.run`: it fills a
+:class:`~repro.sim.frame.SweepFrame` via :func:`repro.sim.sweep.run_grid`,
+which runs the grid serially, on the process pool (``jobs > 1``) or on
+the cluster (``execution: cluster``), and raises on any failed point.
+All paths return identical numbers — the engines' determinism
+contract — so a cached result is indistinguishable from a recomputed
+one.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ from repro.sim.engines import (
 from repro.sim.frame import FrameBackedSweepResult, FrameField, FrameSchema, SweepFrame
 from repro.sim.open_system import OpenSystemConfig
 from repro.sim.overflow import OverflowConfig, characterize_overflow
+from repro.sim.parallel import first_failure
 from repro.sim.sweep import run_grid, sweep_grid
 from repro.sim.trace_driven import TraceAliasConfig
 from repro.util.units import is_power_of_two
@@ -293,12 +296,13 @@ class SweepKind:
     Grid-shaped kinds are declared by decomposition — ``point`` (the
     module-level point callable), ``axes`` (grid-axis name → list-valued
     parameter), ``wire`` (point kwarg → scalar parameter; the seed is
-    appended automatically) and ``assemble`` — and execution is derived:
-    ``bind(params, seed)`` is a keyword :func:`functools.partial` of
-    ``point``, which is what lets it cross the cluster wire.  Kinds that
-    instead pass ``execute`` (the closed-form ``model``) always run
-    locally, even under ``execution: cluster`` — there is nothing worth
-    distributing.
+    appended automatically), ``schema`` (the result's frame columns) and
+    ``assemble`` — and execution is derived: ``bind(params, seed)`` is a
+    keyword :func:`functools.partial` of ``point``, which is what lets it
+    cross the cluster wire, and :meth:`run` evaluates the grid into a
+    fresh frame.  Kinds that instead pass ``execute`` (the closed-form
+    ``model``) always run locally, even under ``execution: cluster`` —
+    there is nothing worth distributing.
 
     ``validate(params)`` returns the normalized parameter dict that is
     both executed and folded into the cache key.  ``checks`` run against
@@ -320,14 +324,13 @@ class SweepKind:
         assemble: Optional[Callable[[dict[str, Any], Any], dict[str, Any]]] = None,
         checks: Sequence[Callable[[dict[str, Any]], None]] = (),
         execute: Optional[Callable[[dict[str, Any], int, Optional[int]], dict[str, Any]]] = None,
-        engine_kind: Optional[str] = None,
         ceiling: Optional[Sequence[str]] = None,
         schema: Optional[FrameSchema] = None,
     ) -> None:
-        if execute is None and (point is None or axes is None or assemble is None):
+        if execute is None and None in (point, axes, assemble, schema):
             raise ValueError(
                 f"sweep kind {name!r} needs either an executor or the full "
-                f"point/axes/assemble decomposition"
+                f"point/axes/assemble/schema decomposition"
             )
         self.name = name
         self.description = description
@@ -336,7 +339,6 @@ class SweepKind:
         self.axes = dict(axes) if axes is not None else None
         self.wire = dict(wire) if wire is not None else {}
         self.checks = tuple(checks)
-        self.engine_kind = engine_kind
         self.schema = schema
         self._assemble = assemble
         self._execute = execute
@@ -350,11 +352,6 @@ class SweepKind:
     def clusterable(self) -> bool:
         """Whether this kind can run under ``execution: cluster``."""
         return self.axes is not None
-
-    @property
-    def cache_key_fields(self) -> tuple[str, ...]:
-        """The normalized parameter names folded into the cache key."""
-        return tuple(spec.name for spec in self.params)
 
     def validate(self, params: Mapping[str, Any]) -> dict[str, Any]:
         """Validate a raw request into the normalized parameter dict."""
@@ -380,9 +377,7 @@ class SweepKind:
     def make_frame(self, params: dict[str, Any]) -> Optional[SweepFrame]:
         """A fresh :class:`SweepFrame` sized to this parameterization.
 
-        ``None`` for kinds without a declared column schema (the
-        closed-form ``model`` never runs a grid) — callers fall back to
-        the dict path.
+        ``None`` for the closed-form ``model``, which never runs a grid.
         """
         if self.schema is None or self.axes is None:
             return None
@@ -407,27 +402,50 @@ class SweepKind:
         assert self._assemble is not None
         return self._assemble(params, sweep)
 
+    def run(self, params: dict[str, Any], seed: int, *,
+            jobs: Optional[int] = None,
+            cluster: Optional[int] = None,
+            cache: Any = None,
+            frame: Optional[SweepFrame] = None,
+            progress: Optional[Callable[[int, int], None]] = None,
+            ) -> FrameBackedSweepResult:
+        """Run this kind's grid through :func:`repro.sim.sweep.run_grid`.
+
+        Results fill ``frame`` — a fresh :meth:`make_frame` unless the
+        caller passes one to read while the run fills it.  ``jobs``,
+        ``cluster``, ``cache`` and ``progress`` are
+        :func:`~repro.sim.sweep.run_grid`'s.  A failed point raises in
+        every mode: a pool's recorded failure becomes a
+        :class:`ValueError` naming the point and its error's last line.
+        """
+        if frame is None:
+            frame = self.make_frame(params)
+        sweep = run_grid(
+            self.bind(params, seed), self.grid(params), jobs=jobs,
+            cluster=cluster, cache=cache, frame=frame, progress=progress,
+        )
+        failure = first_failure(sweep)
+        if failure is not None:
+            raise ValueError(
+                f"{self.name} point {failure.point} failed: {failure.summary}"
+            )
+        return sweep
+
     def execute(self, params: dict[str, Any], seed: int,
                 jobs: Optional[int],
                 frame: Optional[SweepFrame] = None, *,
                 cluster: Optional[int] = None,
                 cache: Any = None) -> dict[str, Any]:
-        """Run the sweep through :func:`repro.sim.sweep.run_grid`.
+        """Run the sweep and fold it into the JSON-safe response shape.
 
-        ``jobs`` and ``cluster`` pick the execution mode (see
-        :func:`~repro.sim.sweep.run_grid`); kinds without a grid
-        (``model``) always evaluate in-process.  When ``frame`` is given
-        (from :meth:`make_frame`), results accumulate into its typed
-        columns and the assembler sees the frame-backed row view — same
-        bytes out, plus mid-run progress readable through the frame.
+        Grid kinds go through :meth:`run`; kinds without a grid
+        (``model``) always evaluate in-process.
         """
         if self._execute is not None:
             return self._execute(params, seed, jobs)
-        sweep = run_grid(
-            self.bind(params, seed), self.grid(params), jobs=jobs,
-            cluster=cluster, cache=cache, frame=frame,
-        )
-        return self.assemble(params, sweep)
+        return self.assemble(params, self.run(
+            params, seed, jobs=jobs, cluster=cluster, cache=cache, frame=frame,
+        ))
 
 
 # -- point callables ---------------------------------------------------
@@ -602,11 +620,11 @@ def _fig7_point(table: str, n: int, w: int, *, placement: str, hash_kind: str,
 # -- frame schemas -----------------------------------------------------
 #
 # One FrameSchema per grid-shaped kind: the typed column layout of its
-# results (see repro.sim.frame).  Outcome field order matches the point
-# function's dict order exactly — the frame rebuilds rows in declared
-# order, which is what keeps the frame-backed row view byte-identical
-# to the dict path.  fig4a/fig2a points return a bare float, hence the
-# scalar schemas.
+# results (see repro.sim.frame), the only form a grid kind's result
+# takes.  Outcome field order matches the point function's dict order
+# exactly — the frame rebuilds rows in declared order, so a row read
+# back equals the record the point returned.  fig4a/fig2a points return
+# a bare float, hence the scalar schemas.
 
 _FIG4A_SCHEMA = FrameSchema(
     kind="fig4a",
@@ -710,43 +728,29 @@ def _nw_series_assemble(kind: str) -> Callable[[dict[str, Any], Any], dict[str, 
     return assemble
 
 
-def _fig3_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
+def _fig3_assemble(params: dict[str, Any],
+                   sweep: FrameBackedSweepResult) -> dict[str, Any]:
     """Per-benchmark records plus the paper's ``AVG`` row.
 
     The mean of per-benchmark means over the benchmarks that overflowed,
     in grid order — the same operations, on the same floats, as
-    :func:`repro.sim.overflow.fleet_summary`, so the two agree exactly.
-    On a frame-backed sweep the reduction runs over the typed columns
-    directly: same float64 values in the same order, so ``np.mean``
-    produces the identical bits.
+    :func:`repro.sim.overflow.fleet_summary`, so the two agree exactly:
+    the reduction runs over the typed float64 columns in grid order, so
+    ``np.mean`` produces the identical bits.
     """
-    if isinstance(sweep, FrameBackedSweepResult):
-        frame = sweep.frame
-        points = [frame.outcome_at(i) for i in range(frame.capacity)]
-        overflowed = frame.column("traces_overflowed")
-        mask = overflowed > 0
-        if mask.any():
-            points.append({
-                "bench": "AVG",
-                "mean_read_blocks": float(np.mean(frame.column("mean_read_blocks")[mask])),
-                "mean_write_blocks": float(np.mean(frame.column("mean_write_blocks")[mask])),
-                "mean_instructions": float(np.mean(frame.column("mean_instructions")[mask])),
-                "mean_utilization": float(np.mean(frame.column("mean_utilization")[mask])),
-                "traces_overflowed": int(overflowed[mask].sum()),
-                "traces_fit": int(frame.column("traces_fit")[mask].sum()),
-            })
-        return {"kind": "fig3", "benchmarks": params["benchmarks"], "points": points}
-    points = [dict(r) for r in sweep.outcomes]
-    measured = [r for r in points if r["traces_overflowed"] > 0]
-    if measured:
+    frame = sweep.frame
+    points = list(sweep.outcomes)
+    overflowed = frame.column("traces_overflowed")
+    mask = overflowed > 0
+    if mask.any():
         points.append({
             "bench": "AVG",
-            "mean_read_blocks": float(np.mean([r["mean_read_blocks"] for r in measured])),
-            "mean_write_blocks": float(np.mean([r["mean_write_blocks"] for r in measured])),
-            "mean_instructions": float(np.mean([r["mean_instructions"] for r in measured])),
-            "mean_utilization": float(np.mean([r["mean_utilization"] for r in measured])),
-            "traces_overflowed": sum(r["traces_overflowed"] for r in measured),
-            "traces_fit": sum(r["traces_fit"] for r in measured),
+            "mean_read_blocks": float(np.mean(frame.column("mean_read_blocks")[mask])),
+            "mean_write_blocks": float(np.mean(frame.column("mean_write_blocks")[mask])),
+            "mean_instructions": float(np.mean(frame.column("mean_instructions")[mask])),
+            "mean_utilization": float(np.mean(frame.column("mean_utilization")[mask])),
+            "traces_overflowed": int(overflowed[mask].sum()),
+            "traces_fit": int(frame.column("traces_fit")[mask].sum()),
         })
     return {"kind": "fig3", "benchmarks": params["benchmarks"], "points": points}
 
@@ -756,32 +760,20 @@ def _closed_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
     return {"kind": "closed", "points": list(sweep.outcomes)}
 
 
-def _placement_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
+def _placement_assemble(params: dict[str, Any],
+                        sweep: FrameBackedSweepResult) -> dict[str, Any]:
     """False-conflict-% series per placement/hash pair, plus raw points.
 
-    Frame-backed sweeps slice the ``false_conflict_pct`` column with one
-    vectorized axis mask per series instead of scanning row dicts.
+    Each series slices the ``false_conflict_pct`` column with one
+    vectorized axis mask instead of scanning row dicts.
     """
-    if isinstance(sweep, FrameBackedSweepResult):
-        frame = sweep.frame
-        points = sweep.outcomes
-        pct = frame.column("false_conflict_pct")
-        series = {
-            f"{p}/{h}": [float(v) for v in pct[frame.mask(placement=p, hash_kind=h)]]
-            for p in params["placements"]
-            for h in params["hash_kinds"]
-        }
-    else:
-        points = [dict(r) for r in sweep.outcomes]
-        series = {
-            f"{p}/{h}": [
-                float(r["false_conflict_pct"])
-                for r in points
-                if r["placement"] == p and r["hash_kind"] == h
-            ]
-            for p in params["placements"]
-            for h in params["hash_kinds"]
-        }
+    frame = sweep.frame
+    pct = frame.column("false_conflict_pct")
+    series = {
+        f"{p}/{h}": [float(v) for v in pct[frame.mask(placement=p, hash_kind=h)]]
+        for p in params["placements"]
+        for h in params["hash_kinds"]
+    }
     return {
         "kind": "placement",
         "x": "n",
@@ -789,59 +781,36 @@ def _placement_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
         "placements": params["placements"],
         "hash_kinds": params["hash_kinds"],
         "series": series,
-        "points": points,
+        "points": sweep.outcomes,
     }
 
 
-def _fig7_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
+def _fig7_assemble(params: dict[str, Any],
+                   sweep: FrameBackedSweepResult) -> dict[str, Any]:
     """Per-table false-conflict series over W, plus the elimination ledger.
 
     ``false_conflicts_by_table`` totals each table kind's false conflicts
     per table size across the whole W axis — on any shared grid the
-    tagged column is identically zero, which *is* the §5 claim.
-    Frame-backed sweeps reduce the ``false_conflicts`` column under one
-    vectorized (table, n) axis mask per family.
+    tagged column is identically zero, which *is* the §5 claim.  Both
+    reduce the ``false_conflicts`` column under one vectorized
+    (table, n) axis mask per family.
     """
-    if isinstance(sweep, FrameBackedSweepResult):
-        frame = sweep.frame
-        points = sweep.outcomes
-        fc = frame.column("false_conflicts")
-        masks = {
-            (t, n): frame.mask(table=t, n=n)
-            for t in params["tables"]
-            for n in params["n_values"]
-        }
-        series = {
-            f"{t} N={n}": [float(v) for v in fc[masks[t, n]]]
-            for t in params["tables"]
-            for n in params["n_values"]
-        }
-        elimination = {
-            f"N={n}": {t: int(fc[masks[t, n]].sum()) for t in params["tables"]}
-            for n in params["n_values"]
-        }
-    else:
-        points = [dict(r) for r in sweep.outcomes]
-        series = {
-            f"{t} N={n}": [
-                float(r["false_conflicts"])
-                for r in points
-                if r["table"] == t and r["n"] == n
-            ]
-            for t in params["tables"]
-            for n in params["n_values"]
-        }
-        elimination = {
-            f"N={n}": {
-                t: sum(
-                    r["false_conflicts"]
-                    for r in points
-                    if r["table"] == t and r["n"] == n
-                )
-                for t in params["tables"]
-            }
-            for n in params["n_values"]
-        }
+    frame = sweep.frame
+    fc = frame.column("false_conflicts")
+    masks = {
+        (t, n): frame.mask(table=t, n=n)
+        for t in params["tables"]
+        for n in params["n_values"]
+    }
+    series = {
+        f"{t} N={n}": [float(v) for v in fc[masks[t, n]]]
+        for t in params["tables"]
+        for n in params["n_values"]
+    }
+    elimination = {
+        f"N={n}": {t: int(fc[masks[t, n]].sum()) for t in params["tables"]}
+        for n in params["n_values"]
+    }
     return {
         "kind": "fig7",
         "x": "w",
@@ -850,7 +819,7 @@ def _fig7_assemble(params: dict[str, Any], sweep: Any) -> dict[str, Any]:
         "tables": params["tables"],
         "series": series,
         "false_conflicts_by_table": elimination,
-        "points": points,
+        "points": sweep.outcomes,
     }
 
 
@@ -959,7 +928,6 @@ SWEEP_KINDS: dict[str, SweepKind] = {
             axes={"n": "n_values", "w": "w_values"},
             wire={"concurrency": "concurrency", "samples": "samples", "engine": "engine"},
             assemble=_nw_series_assemble("fig4a"),
-            engine_kind="open",
             schema=_FIG4A_SCHEMA,
         ),
         SweepKind(
@@ -985,7 +953,6 @@ SWEEP_KINDS: dict[str, SweepKind] = {
             },
             assemble=_nw_series_assemble("fig2a"),
             checks=(_check_power_of_two_tables,),
-            engine_kind="trace",
             schema=_FIG2A_SCHEMA,
         ),
         SweepKind(
@@ -1010,7 +977,6 @@ SWEEP_KINDS: dict[str, SweepKind] = {
                 "engine": "engine",
             },
             assemble=_fig3_assemble,
-            engine_kind="overflow",
             schema=_FIG3_SCHEMA,
         ),
         SweepKind(
@@ -1032,7 +998,6 @@ SWEEP_KINDS: dict[str, SweepKind] = {
             wire={"alpha": "alpha", "engine": "engine"},
             assemble=_closed_assemble,
             checks=(_check_thread_cap, _check_integral_alpha),
-            engine_kind="closed",
             schema=_CLOSED_SCHEMA,
         ),
         SweepKind(
@@ -1181,15 +1146,13 @@ def execute_sweep(
     ``execution="cluster"`` distributes a grid-shaped kind across an
     in-process coordinator + worker fleet (``cluster_workers`` strong,
     each worker with a pool of ``jobs`` processes) via
-    :func:`repro.sim.sweep.run_grid`;
-    the determinism contract makes the response byte-identical to the
-    local path, so callers need not care which ran.  Kinds without a
-    grid decomposition (``model``) always execute locally.  ``cache``
-    is an optional :class:`~repro.service.cache.ResultCache` the
-    coordinator probes per chunk.  ``frame`` (from
-    :meth:`SweepKind.make_frame`) makes the run accumulate into typed
-    columns on every execution path; the response bytes are unchanged,
-    but progress and streaming reads become available mid-run.
+    :meth:`SweepKind.run`; the determinism contract makes the response
+    byte-identical to the local path, so callers need not care which
+    ran.  Kinds without a grid decomposition (``model``) always execute
+    locally.  ``cache`` is an optional
+    :class:`~repro.service.cache.ResultCache` the coordinator probes per
+    chunk.  Pass ``frame`` (from :meth:`SweepKind.make_frame`) to read
+    progress and stream rows while the run fills it.
     """
     cluster = cluster_workers if execution == "cluster" else None
     return SWEEP_KINDS[kind].execute(

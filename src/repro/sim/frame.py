@@ -9,15 +9,15 @@ as one typed column per grid axis and per outcome field: ``int64`` and
 At 10⁶ points that is the difference between a few hundred MiB of dicts
 and a handful of flat arrays.
 
-The frame is the *native accumulation format*: the serial runner, the
-process-pool engine and the cluster coordinator all fill the same
-preallocated frame (out of grid order — chunks settle as they finish),
-and :class:`FrameBackedSweepResult` re-exposes the rows lazily so every
-existing consumer of :class:`~repro.sim.sweep.SweepResult` works
-unchanged.  Byte-identity survives because the columns round-trip
-exactly: ``float64`` and ``int64`` reproduce the original Python values
-bit for bit, and rows are rebuilt with keys in declared schema order —
-the same order the point functions build their dicts.
+The frame is the only form a sweep kind's result takes: the serial
+runner, the process-pool engine and the cluster coordinator all fill
+the same preallocated frame (out of grid order — chunks settle as they
+finish), and :class:`FrameBackedSweepResult` is what
+:meth:`repro.sim.catalog.SweepKind.run` returns and every assembler
+reads.  The columns round-trip exactly: ``float64`` and ``int64``
+reproduce the point functions' Python values bit for bit, and rows are
+rebuilt with keys in declared schema order — the same order the point
+functions build their dicts.
 
 Mid-run visibility: fills may land out of order, but the frame tracks
 its contiguous *filled prefix*, and streaming readers only ever see
@@ -80,8 +80,8 @@ class FrameSchema:
     ``axes`` are the grid coordinates (the keys of each point dict, in
     grid order); ``fields`` are the outcome record's keys, in the exact
     order the kind's point function builds them — row reconstruction
-    follows this order, which is what keeps the frame-backed row view
-    byte-identical to the dict path.  A ``scalar`` schema has a single
+    follows this order, so a rebuilt row equals the record the point
+    returned.  A ``scalar`` schema has a single
     implicit ``value`` float column instead of a record (the N×W
     percent-series kinds return a bare float per point).
     """
@@ -113,7 +113,7 @@ def _new_column(dtype: str, capacity: int) -> np.ndarray:
 
 
 def _native(dtype: str, value: Any) -> Any:
-    """A column cell as the native Python value the dict path held."""
+    """A column cell as the native Python value the point returned."""
     if dtype == "f8":
         return float(value)
     if dtype == "i8":
@@ -422,9 +422,8 @@ class FrameBackedSweepResult(SweepResult):
 
     The lazy row-view facade: ``points``/``outcomes`` materialize from
     the columns on first touch (and are cached), so consumers that
-    genuinely need dicts still get them — byte-identical to the dict
-    path — while column-wise consumers (``where``, the assemblers'
-    reductions) never build a row at all.
+    genuinely need dicts still get them, while column-wise consumers
+    (``where``, the assemblers' reductions) never build a row at all.
     """
 
     def __init__(self, frame: SweepFrame, telemetry: Optional[Any] = None) -> None:

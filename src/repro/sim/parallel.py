@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.sim.sweep import SweepResult, _call_point
 
-__all__ = ["SweepFailure", "SweepTelemetry", "run_sweep_parallel"]
+__all__ = ["SweepFailure", "SweepTelemetry", "first_failure", "run_sweep_parallel"]
 
 _CRASH_MESSAGE = "worker process died"
 
@@ -66,6 +66,22 @@ class SweepFailure:
     kind: str
     error: str
     attempts: int
+
+    @property
+    def summary(self) -> str:
+        """The last line of ``error`` — ``ValueError: ...`` when ``fn`` raised."""
+        return self.error.strip().splitlines()[-1]
+
+
+def first_failure(result: SweepResult) -> Optional[SweepFailure]:
+    """The first point a run recorded as failed, or ``None`` for a clean run.
+
+    Only pool runs record failures (their telemetry counts them); a
+    serial run raises the point's own error instead.
+    """
+    if not getattr(result.telemetry, "failures", 0):
+        return None
+    return next(o for o in result.outcomes if isinstance(o, SweepFailure))
 
 
 @dataclass(frozen=True)

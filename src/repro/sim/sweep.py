@@ -150,10 +150,11 @@ def run_sweep(
     evaluation order (and identical to the parallel engine's).
 
     When ``frame`` (a :class:`repro.sim.frame.SweepFrame` sized to the
-    grid) is given, results accumulate into its typed columns instead of
-    dict lists and the returned result is the frame's lazy row view —
-    byte-identical to the dict path, but with mid-run progress visible
-    through the frame's filled prefix.
+    grid) is given, results accumulate into its typed columns and the
+    returned result is the frame's lazy row view, with mid-run progress
+    visible through the frame's filled prefix.  Sweep kinds always pass
+    one (:meth:`repro.sim.catalog.SweepKind.run`); callers that only
+    need the outcome list, like a cluster worker's chunk, do not.
     """
     if frame is None:
         result = SweepResult()

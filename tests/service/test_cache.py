@@ -85,21 +85,21 @@ class TestMemoryTier:
     def test_get_put_roundtrip(self):
         cache = ResultCache(capacity=4)
         cache.put("k1", {"series": [1.0, 2.0]})
-        assert cache.get("k1") == {"series": [1.0, 2.0]}
+        assert cache.lookup("k1") == (True, {"series": [1.0, 2.0]})
 
     def test_miss_returns_none(self):
         cache = ResultCache(capacity=4)
-        assert cache.get("nope") is None
+        assert cache.lookup("nope") == (False, None)
 
     def test_lru_eviction_order(self):
         cache = ResultCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.get("a") == 1  # touch a: b becomes LRU
+        assert cache.lookup("a") == (True, 1)  # touch a: b becomes LRU
         cache.put("c", 3)  # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
+        assert cache.lookup("b") == (False, None)
+        assert cache.lookup("a") == (True, 1)
+        assert cache.lookup("c") == (True, 3)
 
     def test_eviction_counted(self):
         cache = ResultCache(capacity=1)
@@ -111,9 +111,9 @@ class TestMemoryTier:
     def test_stats_hit_ratio(self):
         cache = ResultCache(capacity=4)
         cache.put("a", 1)
-        cache.get("a")
-        cache.get("a")
-        cache.get("missing")
+        cache.lookup("a")
+        cache.lookup("a")
+        cache.lookup("missing")
         stats = cache.stats()
         assert stats.hits == 2
         assert stats.misses == 1
@@ -131,15 +131,13 @@ class TestMemoryTier:
 
     def test_cached_none_is_a_hit(self):
         """JSON ``null`` is a legitimate cached value; ``lookup`` must
-        not conflate it with a miss (``get`` unavoidably does)."""
+        not conflate it with a miss."""
         cache = ResultCache(capacity=4)
         cache.put("k", None)
         hit, value = cache.lookup("k")
         assert hit and value is None
         assert cache.stats().hits == 1
         assert cache.stats().misses == 0
-        # The legacy accessor cannot tell the difference — documented.
-        assert cache.get("k") is None
 
     def test_thread_safety_smoke(self):
         cache = ResultCache(capacity=32)
@@ -147,7 +145,7 @@ class TestMemoryTier:
         def worker(tag: int) -> None:
             for i in range(200):
                 cache.put(f"k{(tag + i) % 64}", i)
-                cache.get(f"k{i % 64}")
+                cache.lookup(f"k{i % 64}")
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
         for t in threads:
@@ -166,15 +164,15 @@ class TestDiskTier:
         # A fresh cache over the same directory (fresh memory tier) must
         # recover the exact value from disk.
         fresh = ResultCache(capacity=4, disk_dir=tmp_path / "cache")
-        assert fresh.get(key) == value
+        assert fresh.lookup(key) == (True, value)
         assert fresh.stats().disk_hits == 1
 
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         cache = ResultCache(capacity=4, disk_dir=tmp_path / "cache")
         cache.put("deadbeef", [1, 2, 3])
         fresh = ResultCache(capacity=4, disk_dir=tmp_path / "cache")
-        assert fresh.get("deadbeef") == [1, 2, 3]  # from disk
-        assert fresh.get("deadbeef") == [1, 2, 3]  # now from memory
+        assert fresh.lookup("deadbeef") == (True, [1, 2, 3])  # from disk
+        assert fresh.lookup("deadbeef") == (True, [1, 2, 3])  # now from memory
         stats = fresh.stats()
         assert stats.disk_hits == 1
         assert stats.memory_hits == 1
@@ -183,7 +181,7 @@ class TestDiskTier:
         cache = ResultCache(capacity=1, disk_dir=tmp_path / "cache")
         cache.put("aaaa", "first")
         cache.put("bbbb", "second")  # evicts aaaa from memory
-        assert cache.get("aaaa") == "first"  # served by disk
+        assert cache.lookup("aaaa") == (True, "first")  # served by disk
         assert cache.stats().disk_hits == 1
 
     def test_torn_disk_entry_is_a_miss(self, tmp_path):
@@ -192,13 +190,13 @@ class TestDiskTier:
         path = cache._disk_path("cafe")
         path.write_text("{not json", encoding="utf-8")
         fresh = ResultCache(capacity=4, disk_dir=tmp_path / "cache")
-        assert fresh.get("cafe") is None
+        assert fresh.lookup("cafe") == (False, None)
 
     def test_no_disk_dir_means_memory_only(self, tmp_path):
         cache = ResultCache(capacity=1)
         cache.put("aaaa", "first")
         cache.put("bbbb", "second")
-        assert cache.get("aaaa") is None
+        assert cache.lookup("aaaa") == (False, None)
 
     def test_cached_none_survives_disk_tier(self, tmp_path):
         """A stored ``None`` round-trips through disk as a *hit* — a
@@ -237,7 +235,7 @@ class TestGzipDiskTier:
         raw = len(json.dumps(value, separators=(",", ":")).encode())
         assert gz.stat().st_size < raw / 2
         fresh = ResultCache(capacity=4, disk_dir=tmp_path / "cache")
-        assert fresh.get("feed") == value
+        assert fresh.lookup("feed") == (True, value)
 
     def test_small_entries_stay_plain_json(self, tmp_path):
         cache = ResultCache(capacity=4, disk_dir=tmp_path / "cache")
@@ -253,7 +251,7 @@ class TestGzipDiskTier:
         path = cache._disk_path("0ld1")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(value), encoding="utf-8")
-        assert cache.get("0ld1") == value
+        assert cache.lookup("0ld1") == (True, value)
 
     def test_compressed_bytes_are_deterministic(self, tmp_path):
         a = ResultCache(capacity=4, disk_dir=tmp_path / "a")

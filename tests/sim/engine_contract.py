@@ -32,33 +32,38 @@ __all__ = ["EngineContract", "assert_frame_identity", "registry_test_class"]
 
 
 def assert_frame_identity(kind_name: str, raw_params: Mapping[str, Any],
-                          seed: int = 7, jobs: Optional[int] = None) -> dict:
-    """Assert the columnar frame path reproduces the dict path exactly.
+                          expected_digest: str, seed: int = 7,
+                          jobs: Optional[int] = None) -> dict:
+    """Assert a kind's frame-backed result matches its pinned digest.
 
-    Runs one sweep kind twice — once accumulating list-of-dict rows,
-    once into a :class:`repro.sim.frame.SweepFrame` — and compares the
-    assembled results as serialized JSON, so ``8`` vs ``8.0`` or any
-    other type drift through the f8/i8 columns fails loudly rather
-    than slipping past ``==``.  Returns the assembled dict-path result
-    for further assertions.
+    Runs one sweep kind twice — once into the frame :meth:`SweepKind.run`
+    builds itself, once into a caller-held
+    :class:`repro.sim.frame.SweepFrame` — and compares each assembled
+    result's canonical-JSON SHA-256 with ``expected_digest``, a pin
+    recorded from the list-of-dicts path before the frame became the
+    only result path.  Comparing serialized bytes means ``8`` vs ``8.0``
+    or any other type drift through the f8/i8 columns fails loudly
+    rather than slipping past ``==``.  Returns the assembled result for
+    further assertions.
     """
     from repro.sim.catalog import SWEEP_KINDS
     from repro.sim.frame import FrameBackedSweepResult
+
+    from tests.sim.test_result_golden import result_digest
 
     kind = SWEEP_KINDS[kind_name]
     params = kind.validate(raw_params)
     frame = kind.make_frame(params)
     assert frame is not None, f"kind {kind_name!r} declares no frame schema"
 
-    via_dicts = kind.execute(params, seed, jobs)
-    via_frame = kind.execute(params, seed, jobs, frame=frame)
+    own_frame = kind.execute(params, seed, jobs)
+    held_frame = kind.execute(params, seed, jobs, frame=frame)
     assert frame.complete, f"{kind_name}: frame left incomplete by execute()"
 
-    dict_bytes = json.dumps(via_dicts, sort_keys=True, allow_nan=False)
-    frame_bytes = json.dumps(via_frame, sort_keys=True, allow_nan=False)
-    assert frame_bytes == dict_bytes, (
-        f"{kind_name}: frame-backed result diverges from dict path"
-    )
+    for result in (own_frame, held_frame):
+        assert result_digest(result) == expected_digest, (
+            f"{kind_name}: frame-backed result diverges from the pinned digest"
+        )
 
     # The facade must also replay identical rows (points and outcomes).
     facade = FrameBackedSweepResult(frame)
@@ -66,7 +71,7 @@ def assert_frame_identity(kind_name: str, raw_params: Mapping[str, Any],
     assert json.dumps(facade.points, sort_keys=True) == json.dumps(
         [dict(p) for p in grid], sort_keys=True
     )
-    return via_dicts
+    return held_frame
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,7 @@ class TestValidationNormalForm:
         raw = data.draw(PARAMS[kind_name])
         normalized = kind.validate(raw)
         assert kind.validate(normalized) == normalized
-        assert set(normalized) == set(kind.cache_key_fields)
+        assert set(normalized) == {spec.name for spec in kind.params}
 
     @given(data=st.data(), kind_name=st.sampled_from(KIND_NAMES))
     @settings(max_examples=60, deadline=None)
@@ -159,7 +159,7 @@ class TestValidationNormalForm:
     def test_defaults_fill_the_whole_schema(self):
         for name in ("fig4a", "fig2a", "fig3", "placement", "fig7"):
             kind = SWEEP_KINDS[name]
-            assert set(kind.validate({})) == set(kind.cache_key_fields)
+            assert set(kind.validate({})) == {spec.name for spec in kind.params}
 
     def test_grid_ceiling_enforced(self):
         too_big = {

@@ -1,18 +1,17 @@
-"""Frame-backed vs dict-path byte identity across every engine kind.
+"""Frame-backed result byte identity across every engine kind.
 
 The columnar frame path must be invisible in the numbers: for each
 sweep kind backed by a simulation engine (open, trace, overflow,
 closed) plus the allocator kinds, the assembled figure built from a
 :class:`~repro.sim.frame.SweepFrame` must serialize byte-for-byte
-identically to the list-of-dicts path — and that identity must hold
+identically to the list-of-dicts result it replaced, pinned as
+digests in ``test_result_golden.py`` — and that identity must hold
 across the serial runner, the process pool, and the in-process
 cluster (with or without a pool per worker), which all fill the same
 frame through different code paths.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -43,43 +42,48 @@ def _params(kind_name: str) -> dict:
     return params
 
 
+def _digest(kind_name: str) -> str:
+    # Imported late, as below: test_result_golden imports CASES from here.
+    from tests.sim.test_result_golden import RESULT_DIGESTS
+
+    return RESULT_DIGESTS[kind_name]
+
+
 @pytest.mark.parametrize("kind_name", sorted(CASES))
 def test_serial_frame_identity(kind_name):
-    assert_frame_identity(kind_name, _params(kind_name))
+    assert_frame_identity(kind_name, _params(kind_name), _digest(kind_name))
 
 
 @pytest.mark.parametrize("kind_name", ["fig4a", "closed"])
 def test_parallel_frame_identity(kind_name):
-    assert_frame_identity(kind_name, _params(kind_name), jobs=2)
+    assert_frame_identity(kind_name, _params(kind_name), _digest(kind_name), jobs=2)
 
 
 @pytest.mark.parametrize("kind_name", ["fig4a", "fig7"])
 def test_cluster_frame_identity(kind_name):
+    from tests.sim.test_result_golden import result_digest
+
     kind = SWEEP_KINDS[kind_name]
     params = kind.validate(_params(kind_name))
-    base = json.dumps(kind.execute(params, 7, None), sort_keys=True)
     frame = kind.make_frame(params)
     via_cluster = execute_sweep(
         kind_name, params, 7, None, execution="cluster", frame=frame
     )
     assert frame.complete
-    assert json.dumps(via_cluster, sort_keys=True) == base
+    assert result_digest(via_cluster) == _digest(kind_name)
 
 
 @pytest.mark.parametrize("kind_name", ["fig4a", "closed"])
 def test_cluster_with_jobs_frame_identity(kind_name):
     # Cluster workers that each fan their chunks over a process pool.
-    from repro.sim.sweep import run_grid
+    from tests.sim.test_result_golden import result_digest
 
     kind = SWEEP_KINDS[kind_name]
     params = kind.validate(_params(kind_name))
-    base = json.dumps(kind.execute(params, 7, None), sort_keys=True)
     frame = kind.make_frame(params)
-    sweep = run_grid(
-        kind.bind(params, 7), kind.grid(params), cluster=2, jobs=2, frame=frame
-    )
+    sweep = kind.run(params, 7, cluster=2, jobs=2, frame=frame)
     assert frame.complete
-    assert json.dumps(kind.assemble(params, sweep), sort_keys=True) == base
+    assert result_digest(kind.assemble(params, sweep)) == _digest(kind_name)
 
 
 def test_model_kind_has_no_frame():
