@@ -69,10 +69,10 @@ def chunk_cache_key(task: ClusterTask, points: Sequence[Mapping[str, Any]]) -> s
 
     Keyed by what is computed (function, bound kwargs, label, the
     chunk's points) and the master seed — never by run id or chunk
-    geometry — so any run covering the same points reuses them.  The
-    experiments runner uses the same key for its local checkpoints,
-    which is what lets a run switch between ``--jobs`` and ``--cluster``
-    and still resume from the same cache.
+    geometry — so any run covering the same points reuses them.
+    :func:`repro.sim.sweep.run_grid` uses the same key for its local
+    checkpoints, which is what lets a run switch between ``--jobs`` and
+    ``--cluster`` and still resume from the same cache.
     """
     return cache_key(
         {
@@ -86,9 +86,13 @@ def chunk_cache_key(task: ClusterTask, points: Sequence[Mapping[str, Any]]) -> s
     )
 
 
-class ClusterError(Exception):
+class ClusterError(ValueError):
     """A distributed run could not complete (exhausted chunk, timeout,
-    or every worker gone with work still outstanding)."""
+    or every worker gone with work still outstanding).
+
+    A :class:`ValueError`, like the error a failed point raises in the
+    serial and pool modes, so every surface reports it the same way.
+    """
 
 
 @dataclass(frozen=True)
@@ -627,6 +631,8 @@ def run_sweep_cluster(
     metrics: Optional[MetricsRegistry] = None,
     timeout: Optional[float] = None,
     frame: Optional[SweepFrame] = None,
+    depart_after: Optional[int] = None,
+    join_after: Optional[float] = None,
 ) -> SweepResult:
     """Run one sweep across an in-process coordinator + worker fleet.
 
@@ -634,8 +640,14 @@ def run_sweep_cluster(
     :class:`~repro.cluster.worker.WorkerThread` loops against it, waits
     for the merged result, and tears everything down.  This is the
     localhost execution path behind the service's ``execution: cluster``
-    mode and the CLI's ``--cluster`` flag; multi-machine runs use
-    ``repro cluster coordinate`` / ``repro cluster work`` instead.
+    mode and the ``--cluster`` flag of the CLI and of ``repro
+    experiments run``; multi-machine runs use ``repro cluster
+    coordinate`` / ``repro cluster work`` instead.
+
+    ``depart_after``/``join_after`` inject one membership change each:
+    worker 0 crashes mid-chunk after ``depart_after`` completed chunks
+    (its lease expires and the chunk is reassigned), and one extra
+    worker joins ``join_after`` seconds into the run.
 
     Raises :class:`ClusterError` if the run fails, times out, or every
     worker exits with chunks still outstanding.
@@ -652,26 +664,30 @@ def run_sweep_cluster(
     handle = CoordinatorThread(coordinator)
     handle.start()
     fleet: list[WorkerThread] = []
+
+    def spawn(worker_id: str, crash_after: Optional[int] = None) -> None:
+        fleet.append(WorkerThread(WorkerConfig(
+            coordinator=handle.url, worker_id=worker_id, jobs=jobs_per_worker,
+            crash_after=crash_after,
+        )).start())
+
     try:
-        fleet = [
-            WorkerThread(
-                WorkerConfig(
-                    coordinator=handle.url,
-                    worker_id=f"local-{i}",
-                    jobs=jobs_per_worker,
-                )
-            ).start()
-            for i in range(workers)
-        ]
+        for i in range(workers):
+            spawn(f"local-{i}", depart_after if i == 0 else None)
+        join_at = None if join_after is None else time.monotonic() + join_after
         deadline = None if timeout is None else time.monotonic() + timeout
         while not coordinator.wait(0.05):
-            if deadline is not None and time.monotonic() > deadline:
+            now = time.monotonic()
+            if join_at is not None and now >= join_at:
+                spawn(f"local-join-{len(fleet)}")
+                join_at = None
+            if deadline is not None and now > deadline:
                 raise ClusterError(
                     f"run {coordinator.run_id} did not complete within {timeout:g}s"
                 )
-            if not any(w.alive for w in fleet):
+            if join_at is None and not any(w.alive for w in fleet):
                 raise ClusterError(
-                    f"all {workers} workers exited with run {coordinator.run_id} "
+                    f"all {len(fleet)} workers exited with run {coordinator.run_id} "
                     f"incomplete: {coordinator.leases.snapshot()}"
                 )
         return coordinator.result(timeout=0.0)

@@ -6,21 +6,24 @@ figure through the content-addressed
 :class:`~repro.service.cache.ResultCache` on disk under the output dir.
 The per-run :class:`~repro.experiments.manifest.RunManifest` pins what
 is being computed (spec hashes) and how it is chunked, so an
-interrupted run restarted with the same command replays its chunk walk,
-finds every finished chunk already in the cache, and converges on a
-byte-identical report artifact.
+interrupted run restarted with the same command finds every finished
+chunk already in the cache and converges on a byte-identical report
+artifact.
 
-Execution modes share one checkpoint namespace:
+Figures run on the shared executors, which checkpoint chunks the same
+way in every mode (keyed by
+:func:`~repro.cluster.coordinator.chunk_cache_key`):
 
-* serial / ``--jobs N`` — the runner walks chunks itself, evaluating
-  misses via :func:`repro.sim.sweep.run_grid` (serial or process pool);
-* ``--cluster N`` — an in-process elastic fleet: a
-  :class:`~repro.cluster.coordinator.Coordinator` (which probes the
-  same cache, keyed by :func:`~repro.cluster.coordinator.chunk_cache_key`)
-  plus N :class:`~repro.cluster.worker.WorkerThread` loops, with work
-  stealing enabled and optional mid-run membership churn (one injected
-  departure, one late join) for elasticity tests and the CI smoke job.
+* serial / ``--jobs N`` — :meth:`~repro.sim.catalog.SweepKind.run`,
+  i.e. :func:`repro.sim.sweep.run_grid` serially or on a process pool;
+* ``--cluster N`` (with ``--jobs M``, a pool per worker) —
+  :func:`~repro.cluster.coordinator.run_sweep_cluster`, an in-process
+  elastic fleet with work stealing enabled and optional mid-run
+  membership churn (one injected departure, one late join) for
+  elasticity tests and the CI smoke job.
 
+The runner's cache observes each chunk it settles — a hit or a store —
+to record manifest progress and to trip ``crash_after_chunks``.
 Because engines are deterministic and chunk keys are content-addressed,
 the same run can even switch modes between interrupt and resume and
 still reuse every finished chunk.
@@ -32,25 +35,16 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-from repro.cluster.coordinator import (
-    ClusterError,
-    Coordinator,
-    CoordinatorConfig,
-    CoordinatorThread,
-    chunk_cache_key,
-)
-from repro.cluster.protocol import ClusterTask, chunk_grid, task_from_callable
-from repro.cluster.worker import WorkerConfig, WorkerThread
+from repro.cluster.coordinator import CoordinatorConfig, run_sweep_cluster
+from repro.cluster.protocol import chunk_grid, task_from_callable
 from repro.experiments.artifact import write_artifact
 from repro.experiments.manifest import RunManifest
 from repro.experiments.sizing import DEFAULT_TARGET_SECONDS, ChunkSizer
 from repro.experiments.specs import EXPERIMENTS, QUALITIES, ExperimentSpec
 from repro.service.cache import ResultCache, cache_key
 from repro.sim.catalog import SWEEP_KINDS
-from repro.sim.frame import FrameBackedSweepResult, SweepFrame
-from repro.sim.sweep import SweepResult, run_grid
 
 __all__ = [
     "ExperimentInterrupted",
@@ -119,10 +113,10 @@ class ExperimentsConfig:
     seed:
         Master seed shared by every figure.
     jobs:
-        Local process-pool width (mutually exclusive with ``cluster``).
+        Process-pool width: of the run, or of each cluster worker when
+        combined with ``cluster``.
     cluster:
-        Elastic in-process worker count (mutually exclusive with
-        ``jobs``).
+        Elastic in-process worker count.
     figures:
         Subset of figure ids to run; ``None`` runs all of them.
     lease_ttl:
@@ -134,7 +128,8 @@ class ExperimentsConfig:
     crash_after_chunks:
         Deterministic interrupt: raise
         :class:`ExperimentInterrupted` after this many *computed*
-        chunks (local modes only).  ``None`` disables.
+        chunks.  Serial and ``jobs`` runs only; rejected together with
+        ``cluster``.  ``None`` disables.
     elastic_depart_after:
         Inject one worker departure: the first cluster figure's first
         worker vanishes mid-chunk after completing this many chunks.
@@ -161,8 +156,6 @@ class ExperimentsConfig:
             raise ValueError(
                 f"quality must be one of {', '.join(QUALITIES)}, got {self.quality!r}"
             )
-        if self.jobs is not None and self.cluster is not None:
-            raise ValueError("jobs and cluster are mutually exclusive")
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.cluster is not None and self.cluster < 1:
@@ -180,6 +173,8 @@ class ExperimentsConfig:
             raise ValueError(
                 f"crash_after_chunks must be >= 1, got {self.crash_after_chunks}"
             )
+        if self.crash_after_chunks is not None and self.cluster is not None:
+            raise ValueError("crash_after_chunks cannot be combined with cluster")
 
 
 @dataclass(frozen=True)
@@ -215,127 +210,46 @@ def _log(message: str) -> None:
     print(f"[experiments] {message}", file=sys.stderr, flush=True)
 
 
-class _Interrupter:
-    """Counts computed chunks and trips ``crash_after_chunks``."""
+class _CheckpointCache(ResultCache):
+    """The run's chunk cache, recording every chunk it settles.
 
-    def __init__(self, after: Optional[int]) -> None:
-        self.after = after
-        self.computed = 0
+    A hit on :meth:`lookup` or a :meth:`put` settles one chunk of the
+    current figure: the count goes into the manifest, which is saved,
+    and a put also counts toward ``crash_after_chunks`` — raised only
+    once that chunk and the manifest are on disk.
+    """
 
-    def chunk_computed(self) -> None:
-        """Record one computed chunk; raise once the budget is spent."""
+    def __init__(self, cfg: ExperimentsConfig, manifest: RunManifest) -> None:
+        self.out_dir = Path(cfg.out_dir)
+        super().__init__(disk_dir=self.out_dir / CACHE_DIR)
+        self.manifest = manifest
+        self.crash_after = cfg.crash_after_chunks
+        self.figure = ""
+        self.settled = self.computed = 0
+
+    def start(self, figure: str) -> None:
+        """Attribute the chunks settled from now on to ``figure``."""
+        self.figure, self.settled = figure, 0
+
+    def lookup(self, key: str) -> tuple[bool, Optional[Any]]:
+        hit, value = super().lookup(key)
+        if hit:
+            self._settle()
+        return hit, value
+
+    def put(self, key: str, value: Any) -> None:
+        super().put(key, value)
         self.computed += 1
-        if self.after is not None and self.computed >= self.after:
+        self._settle()
+        if self.crash_after is not None and self.computed >= self.crash_after:
             raise ExperimentInterrupted(
                 f"injected interrupt after {self.computed} computed chunks"
             )
 
-
-def _run_figure_local(
-    fn: Callable[..., Any],
-    task: ClusterTask,
-    grid: list[dict[str, Any]],
-    chunk_size: int,
-    cache: ResultCache,
-    jobs: Optional[int],
-    on_chunk_done: Callable[[int], None],
-    interrupter: _Interrupter,
-    frame: SweepFrame,
-) -> tuple[SweepResult, int, int]:
-    """Walk one figure's chunks locally; returns (sweep, hits, computed)."""
-    hits = computed = 0
-    for chunk in chunk_grid(len(grid), chunk_size):
-        points = [dict(p) for p in grid[chunk.start:chunk.stop]]
-        key = chunk_cache_key(task, points)
-        hit, outcomes = cache.lookup(key)
-        fresh = not (hit and len(outcomes) == chunk.count)
-        if fresh:
-            outcomes = list(run_grid(fn, points, jobs=jobs).outcomes)
-            cache.put(key, outcomes)
-            computed += 1
-        else:
-            hits += 1
-        frame.fill_many(chunk.start, points, outcomes)
-        on_chunk_done(hits + computed)
-        if fresh:
-            interrupter.chunk_computed()
-    return FrameBackedSweepResult(frame), hits, computed
-
-
-def _run_figure_cluster(
-    task: ClusterTask,
-    grid: list[dict[str, Any]],
-    chunk_size: int,
-    cache: ResultCache,
-    cfg: ExperimentsConfig,
-    depart_after: Optional[int],
-    join_after: Optional[float],
-    frame: Optional[SweepFrame] = None,
-) -> SweepResult:
-    """Run one figure on an elastic in-process fleet.
-
-    ``depart_after``/``join_after`` inject one membership change each:
-    worker 0 crashes mid-chunk after ``depart_after`` completed chunks
-    (its lease expires and the chunk is reassigned), and one extra
-    worker joins ``join_after`` seconds into the run.  Work stealing is
-    enabled at half the lease ttl.
-    """
-    assert cfg.cluster is not None
-    coordinator = Coordinator(
-        task,
-        grid,
-        CoordinatorConfig(
-            lease_ttl=cfg.lease_ttl,
-            chunk_size=chunk_size,
-            expected_workers=cfg.cluster,
-            steal_min_age=cfg.lease_ttl / 2,
-        ),
-        cache=cache,
-        frame=frame,
-    )
-    handle = CoordinatorThread(coordinator)
-    handle.start()
-    fleet: list[WorkerThread] = []
-    try:
-        for i in range(cfg.cluster):
-            fleet.append(
-                WorkerThread(
-                    WorkerConfig(
-                        coordinator=handle.url,
-                        worker_id=f"exp-{i}",
-                        crash_after=depart_after if i == 0 else None,
-                    )
-                ).start()
-            )
-        join_at = None if join_after is None else time.monotonic() + join_after
-        deadline = time.monotonic() + cfg.figure_timeout
-        while not coordinator.wait(0.05):
-            now = time.monotonic()
-            if join_at is not None and now >= join_at:
-                fleet.append(
-                    WorkerThread(
-                        WorkerConfig(
-                            coordinator=handle.url,
-                            worker_id=f"exp-join-{len(fleet)}",
-                        )
-                    ).start()
-                )
-                join_at = None
-            if now > deadline:
-                raise ClusterError(
-                    f"figure did not complete within {cfg.figure_timeout:g}s"
-                )
-            if not any(w.alive for w in fleet) and join_at is None:
-                raise ClusterError(
-                    f"all workers exited with run {coordinator.run_id} "
-                    f"incomplete: {coordinator.leases.snapshot()}"
-                )
-        return coordinator.result(timeout=0.0)
-    finally:
-        coordinator.drain()
-        for w in fleet:
-            w.stop(timeout=10.0)
-        handle.stop()
+    def _settle(self) -> None:
+        self.settled += 1
+        self.manifest.mark_progress(self.figure, self.settled)
+        self.manifest.save(self.out_dir)
 
 
 def _model_figure_key(spec: ExperimentSpec, params: Mapping[str, Any],
@@ -356,12 +270,12 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
     the deterministic report artifact.  Raises
     :class:`~repro.experiments.manifest.ManifestMismatch` if the output
     dir holds an incompatible run, :class:`ExperimentInterrupted` when
-    fault injection trips, and :class:`ClusterError` if the elastic
-    fleet cannot finish a figure.
+    fault injection trips, and :class:`ValueError` (a
+    :class:`~repro.cluster.coordinator.ClusterError` under ``cluster``)
+    if a point fails or the elastic fleet cannot finish a figure.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cache = ResultCache(disk_dir=out_dir / CACHE_DIR)
     manifest = RunManifest.load(out_dir)
     if manifest is None:
         manifest = RunManifest(quality=cfg.quality, seed=cfg.seed)
@@ -370,9 +284,9 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
             _log(warning)
         _log("resuming from existing manifest")
     manifest.complete = False
+    cache = _CheckpointCache(cfg, manifest)
     sizer = ChunkSizer(cfg.chunk_target_seconds)
     workers = cfg.cluster if cfg.cluster is not None else (cfg.jobs or 1)
-    interrupter = _Interrupter(cfg.crash_after_chunks)
     depart_after = cfg.elastic_depart_after
     join_after = cfg.elastic_join_after
     results: dict[str, dict[str, Any]] = {}
@@ -383,83 +297,63 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
         kind = SWEEP_KINDS[spec.kind]
         params = spec.params(cfg.quality)
         all_params[spec.figure] = params
-        record = manifest.plan_figure(spec.figure, spec.kind, params, cfg.seed)
+        manifest.plan_figure(spec.figure, spec.kind, params, cfg.seed)
         started = time.perf_counter()
-
+        hits_before = cache.stats().hits
+        cache.start(spec.figure)
+        stolen = cluster_workers = 0
+        sweep = None
         if not kind.clusterable:
-            manifest.pin_chunking(spec.figure, 1, 1)
+            n_points = chunk_size = chunks = manifest.pin_chunking(spec.figure, 1, 1)
             manifest.save(out_dir)
             key = _model_figure_key(spec, params, cfg.seed)
-            hit, cached = cache.lookup(key)
-            if hit:
-                result, hits, computed = cached, 1, 0
-            else:
+            hit, result = cache.lookup(key)
+            if not hit:
                 result = kind.execute(params, cfg.seed, cfg.jobs)
                 cache.put(key, result)
-                hits, computed = 0, 1
-            results[spec.figure] = result
-            manifest.mark_done(spec.figure)
-            manifest.save(out_dir)
-            fig_t = FigureTelemetry(
-                figure=spec.figure, kind=spec.kind, n_points=1, chunks=1,
-                chunk_size=1, cache_hits=hits, computed_chunks=computed,
-                wall_seconds=time.perf_counter() - started,
-            )
-            telemetry.append(fig_t)
-            _log(fig_t.summary())
-            if computed:
-                interrupter.chunk_computed()
-            continue
-
-        fn = kind.bind(params, cfg.seed)
-        task = task_from_callable(fn)
-        grid = kind.grid(params)
-        recommended = sizer.recommend(len(grid), workers)
-        chunk_size = manifest.pin_chunking(
-            spec.figure, recommended, len(chunk_grid(len(grid), recommended))
-        )
-        manifest.save(out_dir)
-
-        def on_chunk_done(done: int, figure: str = spec.figure) -> None:
-            manifest.mark_progress(figure, done)
-            manifest.save(out_dir)
-
-        stolen = 0
-        frame = kind.make_frame(params)
-        if cfg.cluster is not None:
-            sweep = _run_figure_cluster(
-                task, grid, chunk_size, cache, cfg, depart_after, join_after,
-                frame=frame,
-            )
-            depart_after = join_after = None  # one churn event each per run
-            hits = sweep.telemetry.cache_hits
-            computed = len(chunk_grid(len(grid), chunk_size)) - hits
-            stolen = sweep.telemetry.leases_stolen
-            cluster_workers = max(1, sweep.telemetry.workers)
         else:
-            try:
-                sweep, hits, computed = _run_figure_local(
-                    fn, task, grid, chunk_size, cache, cfg.jobs,
-                    on_chunk_done, interrupter, frame=frame,
-                )
-            except ExperimentInterrupted:
-                manifest.save(out_dir)
-                raise
-            cluster_workers = 0
-
-        wall = time.perf_counter() - started
-        if computed:
-            sizer.observe(
-                computed * chunk_size, wall, workers if workers > 0 else 1
+            grid = kind.grid(params)
+            n_points = len(grid)
+            recommended = sizer.recommend(n_points, workers)
+            chunk_size = manifest.pin_chunking(
+                spec.figure, recommended, len(chunk_grid(n_points, recommended))
             )
-        results[spec.figure] = kind.assemble(params, sweep)
+            chunks = len(chunk_grid(n_points, chunk_size))
+            manifest.save(out_dir)
+            if cfg.cluster is None:
+                sweep = kind.run(
+                    params, cfg.seed, jobs=cfg.jobs, cache=cache,
+                    chunk_size=chunk_size,
+                )
+            else:
+                sweep = run_sweep_cluster(
+                    task_from_callable(kind.bind(params, cfg.seed)), grid,
+                    workers=cfg.cluster, jobs_per_worker=cfg.jobs or 1,
+                    config=CoordinatorConfig(
+                        lease_ttl=cfg.lease_ttl, chunk_size=chunk_size,
+                        steal_min_age=cfg.lease_ttl / 2,
+                    ),
+                    cache=cache, timeout=cfg.figure_timeout,
+                    frame=kind.make_frame(params),
+                    depart_after=depart_after, join_after=join_after,
+                )
+                depart_after = join_after = None  # one churn event each per run
+                stolen = sweep.telemetry.leases_stolen
+                cluster_workers = max(1, sweep.telemetry.workers)
+        wall = time.perf_counter() - started
+        computed = chunks - (cache.stats().hits - hits_before)
+        if sweep is not None:
+            if computed:
+                sizer.observe(computed * chunk_size, wall, workers)
+            result = kind.assemble(params, sweep)
+        results[spec.figure] = result
         manifest.mark_done(spec.figure)
         manifest.save(out_dir)
         fig_t = FigureTelemetry(
-            figure=spec.figure, kind=spec.kind, n_points=len(grid),
-            chunks=len(chunk_grid(len(grid), chunk_size)),
-            chunk_size=chunk_size, cache_hits=hits, computed_chunks=computed,
-            wall_seconds=wall, workers=cluster_workers, leases_stolen=stolen,
+            figure=spec.figure, kind=spec.kind, n_points=n_points,
+            chunks=chunks, chunk_size=chunk_size, cache_hits=chunks - computed,
+            computed_chunks=computed, wall_seconds=wall,
+            workers=cluster_workers, leases_stolen=stolen,
         )
         telemetry.append(fig_t)
         _log(fig_t.summary())

@@ -406,6 +406,7 @@ class SweepKind:
             jobs: Optional[int] = None,
             cluster: Optional[int] = None,
             cache: Any = None,
+            chunk_size: Optional[int] = None,
             frame: Optional[SweepFrame] = None,
             progress: Optional[Callable[[int, int], None]] = None,
             ) -> FrameBackedSweepResult:
@@ -413,7 +414,7 @@ class SweepKind:
 
         Results fill ``frame`` — a fresh :meth:`make_frame` unless the
         caller passes one to read while the run fills it.  ``jobs``,
-        ``cluster``, ``cache`` and ``progress`` are
+        ``cluster``, ``cache``, ``chunk_size`` and ``progress`` are
         :func:`~repro.sim.sweep.run_grid`'s.  A failed point raises in
         every mode: a pool's recorded failure becomes a
         :class:`ValueError` naming the point and its error's last line.
@@ -422,7 +423,8 @@ class SweepKind:
             frame = self.make_frame(params)
         sweep = run_grid(
             self.bind(params, seed), self.grid(params), jobs=jobs,
-            cluster=cluster, cache=cache, frame=frame, progress=progress,
+            cluster=cluster, cache=cache, chunk_size=chunk_size, frame=frame,
+            progress=progress,
         )
         failure = first_failure(sweep)
         if failure is not None:
@@ -1150,9 +1152,10 @@ def execute_sweep(
     byte-identical to the local path, so callers need not care which
     ran.  Kinds without a grid decomposition (``model``) always execute
     locally.  ``cache`` is an optional
-    :class:`~repro.service.cache.ResultCache` the coordinator probes per
-    chunk.  Pass ``frame`` (from :meth:`SweepKind.make_frame`) to read
-    progress and stream rows while the run fills it.
+    :class:`~repro.service.cache.ResultCache` that checkpoints the grid
+    chunk by chunk (see :func:`~repro.sim.sweep.run_grid`).  Pass
+    ``frame`` (from :meth:`SweepKind.make_frame`) to read progress and
+    stream rows while the run fills it.
     """
     cluster = cluster_workers if execution == "cluster" else None
     return SWEEP_KINDS[kind].execute(

@@ -180,18 +180,26 @@ def run_grid(
     seed: Optional[int] = None,
     label: str = "sweep-point",
     cache: Optional[Any] = None,
+    chunk_size: Optional[int] = None,
 ) -> SweepResult:
     """Evaluate ``fn`` over ``grid`` serially, on a process pool, or on a cluster.
 
     The single execution policy:
 
     * ``cluster=N`` runs on N in-process cluster workers, each fanning
-      its chunks over a pool of ``jobs`` processes when ``jobs > 1``;
-      ``cache`` (a :class:`~repro.service.cache.ResultCache`) is probed
-      per chunk by the coordinator.
+      its chunks over a pool of ``jobs`` processes when ``jobs > 1``.
     * Otherwise ``jobs > 1`` runs on a process pool, reporting
       ``progress(done, total)`` as points settle.
     * Otherwise (``jobs`` of ``None`` or 1) the grid runs serially.
+
+    ``cache`` (a :class:`~repro.service.cache.ResultCache`) checkpoints
+    the grid in every mode, in chunks of ``chunk_size`` points (default:
+    about four per worker) keyed by
+    :func:`~repro.cluster.coordinator.chunk_cache_key`, so ``fn`` must
+    be clusterable.  A cached chunk is filled in without being
+    evaluated; a missing one is evaluated and stored before the next
+    starts.  A chunk with a failed point is never stored: locally it
+    ends the run, and its result, carrying the failure, is returned.
 
     Every mode returns the same bytes; pool and cluster runs attach
     their telemetry to the result.  ``seed``/``label`` derive per-point
@@ -200,12 +208,45 @@ def run_grid(
     """
     if cluster is not None:
         # Imported lazily: the cluster layer depends on service plumbing.
-        from repro.cluster.coordinator import run_sweep_cluster_from_callable
+        from repro.cluster.coordinator import (
+            CoordinatorConfig,
+            run_sweep_cluster_from_callable,
+        )
 
         return run_sweep_cluster_from_callable(
             fn, list(grid), seed=seed, label=label, workers=cluster,
             jobs_per_worker=jobs or 1, cache=cache, frame=frame,
+            config=CoordinatorConfig(chunk_size=chunk_size, expected_workers=cluster),
         )
+    if cache is not None:
+        from repro.cluster.coordinator import chunk_cache_key
+        from repro.cluster.protocol import chunk_grid, default_chunk_size, task_from_callable
+        from repro.sim.parallel import first_failure
+
+        task = task_from_callable(fn, seed=seed, label=label)
+        rows = [dict(point) for point in grid]
+        size = chunk_size or default_chunk_size(len(rows), jobs or 1)
+        result = SweepResult()
+        for chunk in chunk_grid(len(rows), size):
+            points = rows[chunk.start:chunk.stop]
+            key = chunk_cache_key(task, points)
+            hit, outcomes = cache.lookup(key)
+            if not (hit and len(outcomes) == chunk.count):
+                sweep = run_grid(fn, points, jobs=jobs, seed=seed, label=label)
+                if first_failure(sweep) is not None:
+                    return sweep
+                outcomes = sweep.outcomes
+                cache.put(key, outcomes)
+            if frame is not None:
+                frame.fill_many(chunk.start, points, outcomes)
+            else:
+                result.points.extend(points)
+                result.outcomes.extend(outcomes)
+        if frame is None:
+            return result
+        from repro.sim.frame import FrameBackedSweepResult
+
+        return FrameBackedSweepResult(frame)
     if jobs is not None and jobs > 1:
         from repro.sim.parallel import run_sweep_parallel
 
@@ -214,3 +255,4 @@ def run_grid(
             frame=frame,
         )
     return run_sweep(fn, grid, seed=seed, label=label, frame=frame)
+

@@ -9,9 +9,15 @@ execution modes, and when the cluster fleet churns mid-run.
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
+from repro.cli import main
+from repro.cluster.coordinator import ClusterError
 from repro.experiments import (
+    EXPERIMENTS,
     ExperimentInterrupted,
     ExperimentsConfig,
     ManifestMismatch,
@@ -33,9 +39,16 @@ def artifact_bytes(result):
 
 
 class TestConfigValidation:
-    def test_jobs_and_cluster_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ExperimentsConfig(out_dir=tmp_path, jobs=2, cluster=2)
+    def test_crash_after_rejected_with_cluster(self, tmp_path):
+        with pytest.raises(ValueError, match="crash_after_chunks"):
+            ExperimentsConfig(out_dir=tmp_path, cluster=2, crash_after_chunks=1)
+
+    def test_cli_crash_after_with_cluster_exits_2(self, tmp_path, capsys):
+        argv = ["experiments", "run", "--out", str(tmp_path / "run"),
+                "--cluster", "2", "--crash-after", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: crash_after_chunks ")
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figure"):
@@ -120,3 +133,67 @@ class TestElasticCluster:
         fig = elastic.figures[0]
         assert fig.workers >= 2  # late joiner was counted
         assert fig.computed_chunks + fig.cache_hits == fig.chunks
+
+
+class TestJobsWithCluster:
+    def test_cluster_with_jobs_matches_serial_bytes(self, tmp_path):
+        both = run_experiments(smoke_cfg(tmp_path / "both", cluster=2, jobs=2))
+        serial = run_experiments(smoke_cfg(tmp_path / "serial"))
+        assert artifact_bytes(both) == artifact_bytes(serial)
+        assert both.computed_chunks == serial.computed_chunks
+
+    def test_serial_interrupt_resumes_on_cluster_with_jobs(self, tmp_path):
+        shared = tmp_path / "shared"
+        with pytest.raises(ExperimentInterrupted):
+            run_experiments(smoke_cfg(shared, crash_after_chunks=1))
+        resumed = run_experiments(smoke_cfg(shared, cluster=2, jobs=2))
+        assert resumed.cache_hits >= 1
+        fresh = run_experiments(smoke_cfg(tmp_path / "fresh"))
+        assert artifact_bytes(resumed) == artifact_bytes(fresh)
+
+
+# At seed 0, fig2a over a 100-access, 2-thread trace cannot reach W=5,
+# so every point raises (see tests/sim/test_sweep_failures.py).
+FAILING_FIG2A = {"accesses": 100, "threads": 2, "w_values": [5, 100000]}
+
+
+class TestFailedPoint:
+    @pytest.fixture(autouse=True)
+    def failing_fig2a(self, monkeypatch):
+        spec = dataclasses.replace(
+            EXPERIMENTS["fig2a"], quality_params={"smoke": FAILING_FIG2A}
+        )
+        monkeypatch.setitem(EXPERIMENTS, "fig2a", spec)
+
+    def cached_files(self, out_dir):
+        return [p for p in (out_dir / "cache").rglob("*") if p.is_file()]
+
+    def test_jobs_raises_the_named_point_and_caches_nothing(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError) as err:
+            run_experiments(smoke_cfg(out, seed=0, figures=("fig2a",), jobs=2))
+        message = str(err.value)
+        assert message.startswith("fig2a point {'n': 4096, 'w': 5} failed: ValueError: ")
+        assert message.endswith("cannot reach W=5")
+        assert self.cached_files(out) == []
+
+    def test_cluster_raises_the_chunk_failure(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(ClusterError, match="failed after 3 attempts: ValueError: "):
+            run_experiments(smoke_cfg(out, seed=0, figures=("fig2a",), cluster=2))
+        assert self.cached_files(out) == []
+
+    @pytest.mark.parametrize(
+        "mode, pattern",
+        [
+            (["--jobs", "2"], r"error: fig2a point \{'n': 4096, 'w': 5\} failed: ValueError: "),
+            (["--cluster", "2"], r"error: chunk \d+ \(points \[\d+, \d+\)\) failed after 3 "),
+        ],
+    )
+    def test_cli_exits_2_with_an_error_line(self, tmp_path, capsys, mode, pattern):
+        argv = ["experiments", "run", "--out", str(tmp_path / "run"),
+                "--figures", "fig2a", *mode]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.match(pattern, err.splitlines()[-1])
+        assert "Traceback" not in err

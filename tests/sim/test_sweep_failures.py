@@ -13,6 +13,8 @@ error rather than losing its workers.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -63,3 +65,16 @@ def test_cli_jobs_failure_exits_2(capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: fig2a point {'n': 4096, 'w': 5} failed: ValueError: ")
+
+
+def test_cli_cluster_failure_exits_2(capsys):
+    argv = ["fig2a", "--accesses", "100", "--threads", "2", "--samples", "4",
+            "--cluster", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    # Every chunk fails; whichever exhausts its attempts first is named.
+    assert re.match(
+        r"error: chunk \d+ \(points \[\d+, \d+\)\) failed after 3 attempts: "
+        r"ValueError: stream has only \d+ distinct written blocks", err
+    )
+    assert "Traceback" not in err

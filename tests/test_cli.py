@@ -404,11 +404,6 @@ class TestExperiments:
         assert args.out == "experiments-out"
         assert args.jobs is None and args.cluster is None
 
-    def test_jobs_and_cluster_rejected_together(self, capsys):
-        assert main(
-            ["experiments", "run", "--jobs", "2", "--cluster", "2"]
-        ) != 0
-
     def test_run_and_resume_round_trip(self, tmp_path, capsys):
         out = str(tmp_path / "run")
         argv = [
