@@ -226,7 +226,7 @@ def run_grid(
         task = task_from_callable(fn, seed=seed, label=label)
         rows = [dict(point) for point in grid]
         size = chunk_size or default_chunk_size(len(rows), jobs or 1)
-        result = SweepResult()
+        filled: list[Any] = []
         for chunk in chunk_grid(len(rows), size):
             points = rows[chunk.start:chunk.stop]
             key = chunk_cache_key(task, points)
@@ -240,10 +240,9 @@ def run_grid(
             if frame is not None:
                 frame.fill_many(chunk.start, points, outcomes)
             else:
-                result.points.extend(points)
-                result.outcomes.extend(outcomes)
+                filled.extend(outcomes)
         if frame is None:
-            return result
+            return SweepResult(points=rows, outcomes=filled)
         from repro.sim.frame import FrameBackedSweepResult
 
         return FrameBackedSweepResult(frame)
