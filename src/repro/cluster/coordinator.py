@@ -11,7 +11,9 @@ leases, evaluate chunks, and submit outcomes; the
 
 Determinism: the coordinator never evaluates a point itself and never
 reorders anything — outcomes land at their grid indices (``chunk.start``
-onward), so the merged :class:`~repro.sim.sweep.SweepResult` is
+onward) in the run's :class:`~repro.sim.sweep.SweepSink`, which also
+decides between the caller's frame and a plain outcome list, so the
+merged :class:`~repro.sim.sweep.SweepResult` is
 byte-identical to ``run_sweep`` on one machine no matter how chunks were
 interleaved, retried, or reassigned.  JSON transport preserves this:
 outcome payloads are finite floats/ints/strings/dicts, which round-trip
@@ -47,8 +49,8 @@ from repro.cluster.protocol import (
 from repro.service.cache import ResultCache, cache_key
 from repro.service.http import HTTPError, JsonHttpServer, ServerThread
 from repro.service.metrics import MetricsRegistry
-from repro.sim.frame import FrameBackedSweepResult, SweepFrame
-from repro.sim.sweep import SweepResult
+from repro.sim.frame import SweepFrame
+from repro.sim.sweep import SweepResult, SweepSink
 
 __all__ = [
     "ClusterError",
@@ -60,9 +62,6 @@ __all__ = [
     "run_sweep_cluster",
     "run_sweep_cluster_from_callable",
 ]
-
-_PENDING = object()  # outcome slot not yet filled
-
 
 def chunk_cache_key(task: ClusterTask, points: Sequence[Mapping[str, Any]]) -> str:
     """Content address of one chunk's outcomes.
@@ -191,7 +190,8 @@ class CoordinatorConfig:
         Dispatches allowed per chunk before the run fails.
     chunk_size:
         Grid points per lease; ``None`` derives ~4 chunks per expected
-        worker (mirroring the parallel engine's heuristic).
+        worker (:func:`~repro.cluster.protocol.default_chunk_size`, the
+        parallel engine's default too).
     expected_workers:
         Sizing hint for the default chunk size.
     steal_min_age:
@@ -304,13 +304,7 @@ class Coordinator(JsonHttpServer):
             steal_min_age=self.config.steal_min_age,
         )
         self._m_chunk_size.set(self.spec.chunk_size)
-        if frame is not None and len(frame) != self.spec.n_points:
-            raise ValueError(
-                f"frame holds {len(frame)} points but the grid has "
-                f"{self.spec.n_points}"
-            )
-        self.frame = frame
-        self._outcomes: list[Any] = [_PENDING] * self.spec.n_points
+        self._sink = SweepSink([dict(p) for p in self.spec.grid], frame)
         self._done = threading.Event()
         self._draining = False
         self._started = time.perf_counter()
@@ -336,9 +330,7 @@ class Coordinator(JsonHttpServer):
             hit, cached = self.cache.lookup(self._chunk_key(chunk))
             if not hit or len(cached) != chunk.count:
                 continue
-            self._outcomes[chunk.start:chunk.stop] = cached
-            if self.frame is not None:
-                self.frame.fill_many(chunk.start, self.spec.points(chunk), cached)
+            self._sink.fill_many(chunk.start, cached)
             self.leases.mark_done(chunk.index)
             self._cache_hits += 1
             self._m_cached_chunks.inc()
@@ -404,13 +396,7 @@ class Coordinator(JsonHttpServer):
             leases_stolen=int(snapshot["stolen_total"]),
             points_by_worker=points_by_worker,
         )
-        if self.frame is not None and self.frame.complete:
-            return FrameBackedSweepResult(self.frame, telemetry)
-        return SweepResult(
-            points=[dict(p) for p in self.spec.grid],
-            outcomes=list(self._outcomes),
-            telemetry=telemetry,
-        )
+        return self._sink.result(telemetry)
 
     def _maybe_finish(self) -> None:
         if self.leases.done or self.leases.failed is not None:
@@ -592,9 +578,7 @@ class Coordinator(JsonHttpServer):
         if status == "fresh":
             # "fresh" guarantees exactly one fill per chunk, so the frame
             # columns land once, as one slice assignment each.
-            self._outcomes[chunk.start:chunk.stop] = outcomes
-            if self.frame is not None:
-                self.frame.fill_many(chunk.start, self.spec.points(chunk), outcomes)
+            self._sink.fill_many(chunk.start, outcomes)
             if self.cache is not None:
                 self.cache.put(self._chunk_key(chunk), outcomes)
         self._maybe_finish()
@@ -704,13 +688,7 @@ def run_sweep_cluster_from_callable(
     *,
     seed: Optional[int] = None,
     label: str = "sweep-point",
-    workers: int = 2,
-    jobs_per_worker: int = 1,
-    config: Optional[CoordinatorConfig] = None,
-    cache: Optional[ResultCache] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    timeout: Optional[float] = None,
-    frame: Optional[SweepFrame] = None,
+    **options: Any,
 ) -> SweepResult:
     """Distribute an in-process sweep callable across local workers.
 
@@ -718,17 +696,8 @@ def run_sweep_cluster_from_callable(
     :func:`functools.partial` of one with JSON-safe bindings (see
     :func:`repro.cluster.protocol.task_from_callable`, whose
     :class:`ValueError` propagates).  Same signature spirit as
-    ``run_sweep(fn, points, seed=..., label=...)``, same bytes out.
+    ``run_sweep(fn, points, seed=..., label=...)``, same bytes out;
+    ``options`` are :func:`run_sweep_cluster`'s.
     """
     task = task_from_callable(fn, seed=seed, label=label)
-    return run_sweep_cluster(
-        task,
-        points,
-        workers=workers,
-        jobs_per_worker=jobs_per_worker,
-        config=config,
-        cache=cache,
-        metrics=metrics,
-        timeout=timeout,
-        frame=frame,
-    )
+    return run_sweep_cluster(task, points, **options)

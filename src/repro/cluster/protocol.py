@@ -224,9 +224,10 @@ def chunk_grid(n_points: int, chunk_size: int) -> list[ChunkSpec]:
 def default_chunk_size(n_points: int, workers: int) -> int:
     """Default chunk size: about four chunks per expected worker.
 
-    Mirrors :func:`repro.sim.parallel.run_sweep_parallel`'s heuristic —
-    small enough to balance stragglers, large enough that per-chunk
-    protocol overhead stays negligible.
+    The one default for coordinator leases, :func:`repro.sim.sweep.run_grid`'s
+    checkpoint chunks and :func:`repro.sim.parallel.run_sweep_parallel`'s
+    pool tasks — small enough to balance stragglers, large enough that
+    per-chunk overhead stays negligible.
     """
     if n_points <= 0:
         return 1

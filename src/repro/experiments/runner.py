@@ -15,7 +15,8 @@ way in every mode (keyed by
 :func:`~repro.cluster.coordinator.chunk_cache_key`):
 
 * serial / ``--jobs N`` — :meth:`~repro.sim.catalog.SweepKind.run`,
-  i.e. :func:`repro.sim.sweep.run_grid` serially or on a process pool;
+  i.e. :func:`repro.sim.sweep.run_grid` serially or on one process pool
+  per figure;
 * ``--cluster N`` (with ``--jobs M``, a pool per worker) —
   :func:`~repro.cluster.coordinator.run_sweep_cluster`, an in-process
   elastic fleet with work stealing enabled and optional mid-run

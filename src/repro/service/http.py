@@ -372,6 +372,15 @@ class ServerThread:
             self._loop.run_forever()
         finally:
             self._ready.set()  # unblock start() even on bind failure
+            # Closing the socket leaves idle keep-alive connections
+            # running; cancel them so no pending task dies with the loop.
+            pending = asyncio.all_tasks(self._loop)
+            for task in pending:
+                task.cancel()
+            if pending:
+                self._loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True)
+                )
             self._loop.close()
 
     def start(self, timeout: float = 10.0) -> "ServerThread":

@@ -23,11 +23,14 @@ which the engine rebuilds, re-running the lost points in isolated
 single-worker pools so one poisoned point cannot take its chunk-mates
 down with it.  The run always completes with a full-length
 :class:`~repro.sim.sweep.SweepResult` — never a hang or a partial grid.
+
+One pool serves every chunk it is handed, and ``on_chunk`` hears of
+each as soon as all its points settle cleanly: that is how
+:func:`repro.sim.sweep.run_grid` checkpoints a grid from one pool.
 """
 
 from __future__ import annotations
 
-import math
 import signal
 import time
 import traceback
@@ -35,9 +38,9 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.sim.sweep import SweepResult, _call_point
+from repro.sim.sweep import SweepResult, SweepSink, _call_point
 
 __all__ = ["SweepFailure", "SweepTelemetry", "first_failure", "run_sweep_parallel"]
 
@@ -264,7 +267,8 @@ def run_sweep_parallel(
     timeout: Optional[float] = None,
     retries: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
-    frame: Optional[Any] = None,
+    chunks: Optional[Sequence[Any]] = None,
+    on_chunk: Optional[Callable[[Any, list[Any]], None]] = None,
 ) -> SweepResult:
     """Evaluate ``fn(**point)`` at every grid point on a process pool.
 
@@ -284,9 +288,10 @@ def run_sweep_parallel(
     jobs:
         Worker processes (>= 1).
     chunk_size:
-        Points per submitted task; default splits the grid into about
-        four chunks per worker to balance scheduling overhead against
-        tail latency.
+        Points per submitted task; the default,
+        :func:`repro.cluster.protocol.default_chunk_size`, splits the
+        grid into about four chunks per worker to balance scheduling
+        overhead against tail latency.
     seed:
         Master seed; when given, each call receives an independent
         ``seed=`` keyword from :func:`repro.util.rng.point_seed`.
@@ -301,21 +306,23 @@ def run_sweep_parallel(
     progress:
         Optional callback ``progress(done, total)`` invoked from the
         driving process as points settle.
-    frame:
-        Optional :class:`repro.sim.frame.SweepFrame` sized to the grid.
-        Settled chunks append into its typed columns (out of order, by
-        grid index) instead of a dict list, and a clean run returns the
-        frame's lazy row view.  A run with failures falls back to a
-        materialized :class:`~repro.sim.sweep.SweepResult` so the
-        :class:`SweepFailure` outcomes stay representable.
+    chunks:
+        The :class:`~repro.cluster.protocol.ChunkSpec` slices of the
+        grid to evaluate (default: all of it, by ``chunk_size``); the
+        points outside them keep a ``None`` outcome.
+    on_chunk:
+        Optional callback ``on_chunk(chunk, outcomes)`` invoked from the
+        driving process once a chunk's points all settle cleanly.
 
     Returns
     -------
     SweepResult
         Points in grid order; failed points carry a
         :class:`SweepFailure` outcome.  ``result.telemetry`` holds a
-        :class:`SweepTelemetry`.
+        :class:`SweepTelemetry` over the evaluated points.
     """
+    from repro.cluster.protocol import chunk_grid, default_chunk_size
+
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if retries < 0:
@@ -324,25 +331,18 @@ def run_sweep_parallel(
         raise ValueError(f"timeout must be positive, got {timeout}")
 
     grid = [dict(point) for point in points]
-    n = len(grid)
     if chunk_size is None:
-        chunk_size = max(1, math.ceil(n / (jobs * 4))) if n else 1
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        chunk_size = default_chunk_size(len(grid), jobs)
+    if chunks is None:
+        chunks = chunk_grid(len(grid), chunk_size)
+    owner = {i: chunk for chunk in chunks for i in range(chunk.start, chunk.stop)}
+    n = len(owner)
+    unsettled = {chunk: chunk.count for chunk in chunks}
 
     start = time.perf_counter()
-    if n == 0:
-        telemetry = SweepTelemetry(jobs, chunk_size, 0, 0.0, (), 0, 0)
-        if frame is not None:
-            from repro.sim.frame import FrameBackedSweepResult
-
-            return FrameBackedSweepResult(frame, telemetry)
-        return SweepResult(telemetry=telemetry)
-
-    pending_marker = object()
-    outcomes: list[Any] = [pending_marker] * n
-    durations = [0.0] * n
-    attempts = [0] * n
+    sink = SweepSink(grid)
+    durations = [0.0] * len(grid)
+    attempts = [0] * len(grid)
     failures = 0
     retries_used = 0
     settled = 0
@@ -352,40 +352,26 @@ def run_sweep_parallel(
             progress(settled, n)
 
     todo: deque[list[tuple[int, dict[str, Any]]]] = deque(
-        [(i, grid[i]) for i in range(lo, min(lo + chunk_size, n))]
-        for lo in range(0, n, chunk_size)
+        [(i, grid[i]) for i in range(chunk.start, chunk.stop)] for chunk in chunks
     )
 
-    def record(
-        index: int,
-        result: Optional[tuple[str, Any, float]],
-        *,
-        filled: bool = False,
-    ) -> None:
-        """Settle one point from a final (status, payload, seconds).
-
-        ``filled`` marks points whose chunk already landed in ``frame``
-        column-wise, so they are not filled a second time here.
-        """
+    def record(index: int, result: Optional[tuple[str, Any, float]]) -> None:
+        """Settle one point from its final worker triple (``None``: crashed)."""
         nonlocal failures, settled
-        if result is None:
-            outcomes[index] = SweepFailure(
-                dict(grid[index]), "crash", _CRASH_MESSAGE, attempts[index]
-            )
-            failures += 1
-        else:
-            status, payload, seconds = result
-            durations[index] += seconds
-            if status == "ok":
-                outcomes[index] = payload
-                if frame is not None and not filled:
-                    frame.fill(index, grid[index], payload)
-            else:
-                outcomes[index] = SweepFailure(
-                    dict(grid[index]), status, payload, attempts[index]
-                )
-                failures += 1
+        status, payload, seconds = result or ("crash", _CRASH_MESSAGE, 0.0)
+        durations[index] += seconds
+        outcome = payload if status == "ok" else SweepFailure(
+            dict(grid[index]), status, payload, attempts[index]
+        )
+        failures += status != "ok"
+        sink.fill(index, outcome)
         settled += 1
+        chunk = owner[index]
+        unsettled[chunk] -= 1
+        if on_chunk is not None and not unsettled[chunk]:
+            outcomes = sink.outcomes[chunk.start:chunk.stop]
+            if not any(isinstance(o, SweepFailure) for o in outcomes):
+                on_chunk(chunk, outcomes)
 
     def retry_isolated(index: int, point: dict[str, Any]) -> Optional[tuple[str, Any, float]]:
         """Re-run one crash-affected point in throwaway one-worker pools.
@@ -412,7 +398,7 @@ def run_sweep_parallel(
                 return triple
         return last
 
-    executor = ProcessPoolExecutor(max_workers=jobs)
+    executor = ProcessPoolExecutor(max_workers=jobs) if todo else None
     in_flight: dict[Future, list[tuple[int, dict[str, Any]]]] = {}
     try:
         while todo or in_flight:
@@ -439,32 +425,13 @@ def run_sweep_parallel(
                     except BrokenProcessPool:
                         crashed.append(chunk)
                         continue
-                    # Whole-chunk success is the common case: land it in
-                    # the frame as one slice assignment per column
-                    # instead of per-point fills.  Chunk indices are
-                    # contiguous by construction (retries resubmit
-                    # single-point chunks), but check anyway.
-                    chunk_filled = (
-                        frame is not None
-                        and bool(results)
-                        and all(triple[0] == "ok" for _, triple in results)
-                        and results[-1][0] - results[0][0] + 1 == len(results)
-                    )
-                    if chunk_filled:
-                        frame.fill_many(
-                            results[0][0],
-                            [grid[i] for i, _ in results],
-                            [triple[1] for _, triple in results],
-                        )
-                    for index, (status, payload, seconds) in results:
-                        durations[index] += seconds
-                        if status == "ok":
-                            record(index, ("ok", payload, 0.0), filled=chunk_filled)
-                        elif attempts[index] < 1 + retries:
+                    for index, triple in results:
+                        if triple[0] != "ok" and attempts[index] < 1 + retries:
+                            durations[index] += triple[2]
                             retries_used += 1
                             todo.append([(index, grid[index])])
                         else:
-                            record(index, (status, payload, 0.0))
+                            record(index, triple)
                     note_progress()
 
             if crashed:
@@ -478,21 +445,16 @@ def run_sweep_parallel(
                         note_progress()
                 executor = ProcessPoolExecutor(max_workers=jobs)
     finally:
-        _abandon(executor)
+        if executor is not None:
+            _abandon(executor)
 
     telemetry = SweepTelemetry(
         jobs=jobs,
         chunk_size=chunk_size,
         n_points=n,
         wall_seconds=time.perf_counter() - start,
-        point_seconds=tuple(durations),
+        point_seconds=tuple(durations[i] for i in owner),
         failures=failures,
         retries=retries_used,
     )
-    if frame is not None and failures == 0:
-        from repro.sim.frame import FrameBackedSweepResult
-
-        return FrameBackedSweepResult(frame, telemetry)
-    # A run with failures carries SweepFailure outcomes, which typed
-    # columns cannot hold — fall back to the materialized dict path.
-    return SweepResult(points=grid, outcomes=outcomes, telemetry=telemetry)
+    return sink.result(telemetry)

@@ -17,7 +17,10 @@ All derive each point's randomness only from the point's coordinates
 (via :func:`repro.util.rng.point_seed` when ``seed`` is given), so they
 return bit-identical :class:`SweepResult` objects.  :func:`run_grid` is
 the one place that picks between them; every surface (CLI, service,
-report, experiments, cluster workers) calls it.
+report, experiments, cluster workers) calls it.  Settled outcomes land
+in a :class:`SweepSink`, the one place that decides between a
+:class:`~repro.sim.frame.SweepFrame`'s typed columns and a plain outcome
+list, and builds the result.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.util.rng import point_seed
 
-__all__ = ["SweepResult", "run_grid", "run_sweep", "sweep_grid"]
+__all__ = ["SweepResult", "SweepSink", "run_grid", "run_sweep", "sweep_grid"]
 
 
 def sweep_grid(**axes: Iterable[Any]) -> list[dict[str, Any]]:
@@ -117,6 +120,47 @@ class SweepResult:
         return ordered
 
 
+class SweepSink:
+    """Where a run's settled outcomes land, in any order.
+
+    With ``frame`` (a :class:`repro.sim.frame.SweepFrame` sized to the
+    grid) they fill its typed columns and :meth:`result` is the frame's
+    lazy row view; without one they fill a plain list.
+    """
+
+    def __init__(self, points: list[dict[str, Any]], frame: Optional[Any] = None) -> None:
+        if frame is not None and len(frame) != len(points):
+            raise ValueError(
+                f"frame holds {len(frame)} points but the grid has {len(points)}"
+            )
+        self.points = points
+        self.frame = frame
+        self.outcomes: list[Any] = [None] * len(points) if frame is None else []
+
+    def fill(self, index: int, outcome: Any) -> None:
+        """Settle one point."""
+        if self.frame is None:
+            self.outcomes[index] = outcome
+        else:
+            self.frame.fill(index, self.points[index], outcome)
+
+    def fill_many(self, start: int, outcomes: list[Any]) -> None:
+        """Settle the contiguous chunk of points starting at ``start``."""
+        stop = start + len(outcomes)
+        if self.frame is None:
+            self.outcomes[start:stop] = outcomes
+        else:
+            self.frame.fill_many(start, self.points[start:stop], outcomes)
+
+    def result(self, telemetry: Optional[Any] = None) -> SweepResult:
+        """The run's result, once every point has settled."""
+        if self.frame is None:
+            return SweepResult(self.points, self.outcomes, telemetry)
+        from repro.sim.frame import FrameBackedSweepResult
+
+        return FrameBackedSweepResult(self.frame, telemetry)
+
+
 def _call_point(
     fn: Callable[..., Any],
     point: Mapping[str, Any],
@@ -149,24 +193,14 @@ def run_sweep(
     keyed by the point's coordinates, so outcomes are independent of
     evaluation order (and identical to the parallel engine's).
 
-    When ``frame`` (a :class:`repro.sim.frame.SweepFrame` sized to the
-    grid) is given, results accumulate into its typed columns and the
-    returned result is the frame's lazy row view, with mid-run progress
-    visible through the frame's filled prefix.  Sweep kinds always pass
-    one (:meth:`repro.sim.catalog.SweepKind.run`); callers that only
-    need the outcome list, like a cluster worker's chunk, do not.
+    With ``frame``, each point lands in the :class:`SweepSink`'s frame
+    as it settles, so mid-run progress shows in the frame's filled
+    prefix.
     """
-    if frame is None:
-        result = SweepResult()
-        for point in points:
-            result.points.append(dict(point))
-            result.outcomes.append(_call_point(fn, point, seed, label))
-        return result
-    from repro.sim.frame import FrameBackedSweepResult
-
-    for index, point in enumerate(points):
-        frame.fill(index, point, _call_point(fn, point, seed, label))
-    return FrameBackedSweepResult(frame)
+    sink = SweepSink([dict(point) for point in points], frame)
+    for index, point in enumerate(sink.points):
+        sink.fill(index, _call_point(fn, point, seed, label))
+    return sink.result()
 
 
 def run_grid(
@@ -196,10 +230,11 @@ def run_grid(
     the grid in every mode, in chunks of ``chunk_size`` points (default:
     about four per worker) keyed by
     :func:`~repro.cluster.coordinator.chunk_cache_key`, so ``fn`` must
-    be clusterable.  A cached chunk is filled in without being
-    evaluated; a missing one is evaluated and stored before the next
-    starts.  A chunk with a failed point is never stored: locally it
-    ends the run, and its result, carrying the failure, is returned.
+    be clusterable.  Locally every chunk is looked up first, and only
+    the missing ones run: serially in grid order, or all on one process
+    pool, which stores each chunk once its points settle (out of grid
+    order).  A chunk with a failed point is never stored; a pool run
+    then returns its own result, which carries the failures.
 
     Every mode returns the same bytes; pool and cluster runs attach
     their telemetry to the result.  ``seed``/``label`` derive per-point
@@ -218,40 +253,42 @@ def run_grid(
             jobs_per_worker=jobs or 1, cache=cache, frame=frame,
             config=CoordinatorConfig(chunk_size=chunk_size, expected_workers=cluster),
         )
+    pool = jobs is not None and jobs > 1
+    if cache is None and not pool:
+        return run_sweep(fn, grid, seed=seed, label=label, frame=frame)
+    from repro.cluster.coordinator import chunk_cache_key
+    from repro.cluster.protocol import chunk_grid, default_chunk_size, task_from_callable
+
+    rows = [dict(point) for point in grid]
+    size = chunk_size or default_chunk_size(len(rows), jobs or 1)
+    sink = SweepSink(rows, frame)
+    missing = chunk_grid(len(rows), size)
+    keys: dict[Any, str] = {}
     if cache is not None:
-        from repro.cluster.coordinator import chunk_cache_key
-        from repro.cluster.protocol import chunk_grid, default_chunk_size, task_from_callable
-        from repro.sim.parallel import first_failure
-
         task = task_from_callable(fn, seed=seed, label=label)
-        rows = [dict(point) for point in grid]
-        size = chunk_size or default_chunk_size(len(rows), jobs or 1)
-        filled: list[Any] = []
-        for chunk in chunk_grid(len(rows), size):
-            points = rows[chunk.start:chunk.stop]
-            key = chunk_cache_key(task, points)
-            hit, outcomes = cache.lookup(key)
-            if not (hit and len(outcomes) == chunk.count):
-                sweep = run_grid(fn, points, jobs=jobs, seed=seed, label=label)
-                if first_failure(sweep) is not None:
-                    return sweep
-                outcomes = sweep.outcomes
-                cache.put(key, outcomes)
-            if frame is not None:
-                frame.fill_many(chunk.start, points, outcomes)
+        chunks, missing = missing, []
+        for chunk in chunks:
+            keys[chunk] = chunk_cache_key(task, rows[chunk.start:chunk.stop])
+            hit, outcomes = cache.lookup(keys[chunk])
+            if hit and len(outcomes) == chunk.count:
+                sink.fill_many(chunk.start, outcomes)
             else:
-                filled.extend(outcomes)
-        if frame is None:
-            return SweepResult(points=rows, outcomes=filled)
-        from repro.sim.frame import FrameBackedSweepResult
+                missing.append(chunk)
 
-        return FrameBackedSweepResult(frame)
-    if jobs is not None and jobs > 1:
-        from repro.sim.parallel import run_sweep_parallel
+    def settle(chunk: Any, outcomes: list[Any]) -> None:
+        if cache is not None:
+            cache.put(keys[chunk], outcomes)
+        sink.fill_many(chunk.start, outcomes)
 
-        return run_sweep_parallel(
-            fn, grid, jobs=jobs, seed=seed, label=label, progress=progress,
-            frame=frame,
-        )
-    return run_sweep(fn, grid, seed=seed, label=label, frame=frame)
+    if not pool:
+        for chunk in missing:
+            settle(chunk, [_call_point(fn, point, seed, label)
+                           for point in rows[chunk.start:chunk.stop]])
+        return sink.result()
+    from repro.sim.parallel import run_sweep_parallel
 
+    sweep = run_sweep_parallel(
+        fn, rows, jobs=jobs, chunk_size=size, seed=seed, label=label,
+        progress=progress, chunks=missing, on_chunk=settle,
+    )
+    return sweep if sweep.telemetry.failures else sink.result(sweep.telemetry)

@@ -10,6 +10,7 @@ execution modes, and when the cluster fleet churns mid-run.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import re
 
 import pytest
@@ -101,6 +102,19 @@ class TestResumeAfterInterrupt:
             if size is not None:
                 assert after.figures[figure]["chunk_size"] == size
 
+        fresh = run_experiments(smoke_cfg(tmp_path / "fresh"))
+        assert artifact_bytes(resumed) == artifact_bytes(fresh)
+
+    def test_interrupt_inside_the_pool_leaves_no_workers(self, tmp_path):
+        interrupted = tmp_path / "interrupted"
+        with pytest.raises(ExperimentInterrupted) as excinfo:
+            run_experiments(smoke_cfg(interrupted, jobs=2, crash_after_chunks=1))
+        # raised while the pool still runs, from the chunk's store
+        assert any(entry.name == "run_sweep_parallel" for entry in excinfo.traceback)
+        assert multiprocessing.active_children() == []
+
+        resumed = run_experiments(smoke_cfg(interrupted))
+        assert resumed.cache_hits >= 1
         fresh = run_experiments(smoke_cfg(tmp_path / "fresh"))
         assert artifact_bytes(resumed) == artifact_bytes(fresh)
 

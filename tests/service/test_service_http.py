@@ -17,7 +17,9 @@ The acceptance-critical scenarios:
 
 from __future__ import annotations
 
+import gc
 import json
+import logging
 import threading
 import time
 from functools import partial
@@ -809,6 +811,17 @@ class TestLifecycle:
         job = handle.service.queue.get(submitted["id"])
         assert job is not None
         assert job.state.value == "succeeded"
+
+    def test_stop_with_open_keep_alive_connection_leaves_no_pending_task(self, caplog):
+        handle = ServiceThread(Service(ServiceConfig(port=0))).start()
+        client = Client(handle.host, handle.port)
+        assert client.get("/healthz")[0] == 200  # connection stays open
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            handle.stop()
+            gc.collect()
+        client.close()
+        destroyed = [r for r in caplog.records if "destroyed but it is pending" in r.getMessage()]
+        assert destroyed == []
 
     def test_two_services_side_by_side(self):
         with ServiceThread(Service(ServiceConfig(port=0))) as a:
