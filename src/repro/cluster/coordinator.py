@@ -574,13 +574,23 @@ class Coordinator(JsonHttpServer):
                 f"chunk {chunk_index} expects {chunk.count} outcomes, "
                 f"got {len(outcomes) if isinstance(outcomes, list) else type(outcomes).__name__}",
             )
+        if not self.leases.is_done(chunk_index):
+            # Fill before completing: the fill checks the outcomes against
+            # the frame schema, and a chunk that cannot be filled must stay
+            # leased, to expire and be dispatched again.  Results settle one
+            # at a time on the event loop, so none completes this chunk
+            # between the check and ``complete``.
+            try:
+                self._sink.fill_many(chunk.start, outcomes)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise HTTPError(
+                    HTTPStatus.BAD_REQUEST,
+                    f"chunk {chunk_index} outcomes do not fit the sweep: "
+                    f"{type(exc).__name__}: {exc}",
+                ) from None
         status = self.leases.complete(chunk_index, worker, points=chunk.count)
-        if status == "fresh":
-            # "fresh" guarantees exactly one fill per chunk, so the frame
-            # columns land once, as one slice assignment each.
-            self._sink.fill_many(chunk.start, outcomes)
-            if self.cache is not None:
-                self.cache.put(self._chunk_key(chunk), outcomes)
+        if status == "fresh" and self.cache is not None:
+            self.cache.put(self._chunk_key(chunk), outcomes)
         self._maybe_finish()
         self._refresh_metrics()
         return HTTPStatus.OK, {"status": status, "state": self._state()}, {}

@@ -306,6 +306,11 @@ class LeaseManager:
         with self._lock:
             return self._expire_locked(self._clock())
 
+    def is_done(self, chunk_index: int) -> bool:
+        """Whether ``chunk_index`` has a recorded result."""
+        with self._lock:
+            return chunk_index in self._done
+
     @property
     def done(self) -> bool:
         """True once every chunk has completed."""

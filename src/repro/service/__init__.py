@@ -19,7 +19,7 @@ Module map
 * :mod:`repro.service.metrics` — counter/gauge/histogram registry with
   Prometheus text rendering for ``GET /metrics``.
 * :mod:`repro.service.batching` — the micro-batcher coalescing
-  concurrent scalar model GETs into single vectorized evaluations.
+  concurrent conflict GETs into single vectorized evaluations.
 * :mod:`repro.service.loadgen` — closed-loop async load generator
   behind ``repro loadgen`` and the service benchmarks.
 

@@ -171,6 +171,12 @@ class Gauge(_Instrument):
         """Move the series down by ``amount``."""
         self.inc(-amount, label=label)
 
+    def remove(self, *, label: Optional[LabelValue] = None) -> None:
+        """Drop one series from the exposition (a no-op if it is absent)."""
+        series = self._series(label)
+        with self._lock:
+            self._values.pop(series, None)
+
     def value(self, *, label: Optional[LabelValue] = None) -> float:
         """Current level of one series (0 if never set)."""
         series = self._series(label)

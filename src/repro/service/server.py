@@ -29,14 +29,15 @@ Path                    Method  Purpose
 ``/v1/sweeps/<id>``     DELETE  cancel a queued job
 ======================  ======  ============================================
 
-The scalar model GETs are *micro-batched*: one event loop owns every
-connection, so concurrent scalar requests that land within
-``microbatch_window`` seconds of each other coalesce into a single
-vectorized evaluation (``repro.service.batching``).  Batch POSTs,
-micro-batched GETs, and a lone GET all answer from the same
-``repro.core`` ``*_batch`` entry points, which makes their bytes
-identical per point — the batch-identity contract the differential
-tests pin.
+Each model endpoint has one function from point columns to response
+columns, built on the ``repro.core`` ``*_batch`` entry points.  A POST
+evaluates its body's columns through it and adds ``count``; a GET is a
+one-point batch through the same function, unwrapped, so a GET body is
+element 0 of the POST body for the same point — the batch-identity
+contract the differential tests pin.  Conflict GETs are also
+*micro-batched*: one event loop owns every connection, so concurrent
+GETs that land within ``microbatch_window`` seconds of each other
+coalesce into a single evaluation (``repro.service.batching``).
 
 Submission flow: validate (400 on bad input) -> cache probe (content
 address of the canonicalized request; a hit returns a completed job
@@ -58,27 +59,21 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from http import HTTPStatus
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Container, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.birthday import (
-    birthday_collision_probability,
     birthday_collision_probability_batch,
-    people_for_collision_probability,
     people_for_collision_probability_batch,
 )
 from repro.core.model import (
     ModelParams,
-    conflict_likelihood,
     conflict_likelihood_batch,
-    conflict_likelihood_product_form,
     conflict_likelihood_product_form_batch,
 )
 from repro.core.sizing import (
-    pow2_table_entries_for_commit_probability,
     pow2_table_entries_for_commit_probability_batch,
-    table_entries_for_commit_probability,
     table_entries_for_commit_probability_batch,
 )
 from repro.service.batching import MicroBatcher
@@ -124,23 +119,26 @@ NDJSON_CONTENT_TYPE = "application/x-ndjson"
 
 _REQUIRED = object()
 
+# A model endpoint's input field: ``(name, int or float, default)``; the
+# type picks the query parser and the type of the column values, and the
+# default ``_REQUIRED`` marks a mandatory field.
+_Field = tuple[str, type, Any]
+_Columns = dict[str, list[Any]]
+
 
 def _batch_columns(
-    parsed: Any, fields: Sequence[tuple[str, Any]]
-) -> tuple[dict[str, list[Any]], int]:
-    """Validate a batch request body into per-field numeric columns.
+    parsed: dict[str, Any], fields: Sequence[_Field]
+) -> tuple[_Columns, int]:
+    """Validate a batch request body into per-field columns of the field's type.
 
-    ``fields`` is an ordered ``(name, default)`` spec where the default
-    ``_REQUIRED`` marks a mandatory field.  Each present field is a
-    number or a list of numbers; all lists must share one length, and at
-    least one field must be a list (otherwise the scalar GET form is the
-    right endpoint).  Scalars broadcast to the common length.  Unknown
-    fields, empty lists, length mismatches, non-numbers, and non-finite
-    values are all 400s — same strictness as the query-string parsers.
+    Each present field is a number or a list of numbers; all lists must
+    share one length, and at least one field must be a list (otherwise
+    the scalar GET form is the right endpoint).  Scalars broadcast to the
+    common length.  Unknown fields, empty lists, length mismatches,
+    non-numbers, non-finite values and fractional values of an integer
+    field are all 400s — same strictness as the query-string parsers.
     """
-    if not isinstance(parsed, dict):
-        raise HTTPError(HTTPStatus.BAD_REQUEST, "request body must be a JSON object")
-    allowed = [name for name, _ in fields]
+    allowed = [name for name, _, _ in fields]
     unknown = sorted(set(parsed) - set(allowed))
     if unknown:
         raise HTTPError(
@@ -148,7 +146,7 @@ def _batch_columns(
             f"unknown field(s): {', '.join(map(repr, unknown))}; expected {allowed}",
         )
     length: Optional[int] = None
-    for name, default in fields:
+    for name, _, default in fields:
         value = parsed.get(name, default)
         if value is _REQUIRED:
             raise HTTPError(HTTPStatus.BAD_REQUEST, f"missing required field {name!r}")
@@ -175,8 +173,8 @@ def _batch_columns(
             HTTPStatus.BAD_REQUEST,
             f"batch of {length} points exceeds the limit of {MAX_BATCH_POINTS}",
         )
-    columns: dict[str, list[Any]] = {}
-    for name, default in fields:
+    columns: _Columns = {}
+    for name, kind, default in fields:
         value = parsed.get(name, default)
         items = value if isinstance(value, list) else [value] * length
         for item in items:
@@ -188,18 +186,116 @@ def _batch_columns(
                 raise HTTPError(
                     HTTPStatus.BAD_REQUEST, f"field {name!r} must be finite everywhere"
                 )
-        columns[name] = items
+            if kind is int and not float(item).is_integer():
+                raise HTTPError(
+                    HTTPStatus.BAD_REQUEST, f"field {name!r} must contain integers"
+                )
+        columns[name] = [kind(item) for item in items]
     return columns, length
 
 
-def _int_echo(values: list[Any], name: str) -> list[int]:
-    """Echo a column as JSON integers, 400ing on fractional values."""
-    for value in values:
-        if not float(value).is_integer():
-            raise HTTPError(
-                HTTPStatus.BAD_REQUEST, f"field {name!r} must contain integers"
-            )
-    return [int(value) for value in values]
+# -- model endpoints ----------------------------------------------------
+# Each maps validated point columns to output columns.  The batch kernels
+# are read from this module's globals at call time.
+
+
+def _mib(entries: np.ndarray) -> list[float]:
+    return (entries.astype(np.float64) * 8 / (1 << 20)).tolist()
+
+
+def _conflict_columns(cols: _Columns) -> _Columns:
+    args = cols["w"], cols["n"], cols["c"], cols["alpha"]
+    prob = conflict_likelihood_product_form_batch(*args).tolist()
+    return {
+        "raw": conflict_likelihood_batch(*args).tolist(),
+        "conflict_probability": prob,
+        "commit_probability": [1.0 - p for p in prob],
+    }
+
+
+def _sizing_columns(cols: _Columns) -> _Columns:
+    entries = table_entries_for_commit_probability_batch(
+        cols["w"], cols["commit"], concurrency=cols["c"], alpha=cols["alpha"]
+    )
+    return {"entries": entries.tolist(), "mib_at_8_bytes": _mib(entries)}
+
+
+def _capacity_columns(cols: _Columns) -> _Columns:
+    sizing = dict(concurrency=cols["c"], alpha=cols["alpha"])
+    entries = table_entries_for_commit_probability_batch(cols["w"], cols["commit"], **sizing)
+    pow2 = pow2_table_entries_for_commit_probability_batch(cols["w"], cols["commit"], **sizing)
+    raw = conflict_likelihood_batch(cols["w"], pow2, cols["c"], cols["alpha"])
+    return {
+        "entries": entries.tolist(),
+        "entries_pow2": pow2.tolist(),
+        "log2_entries_pow2": np.log2(pow2.astype(np.float64)).astype(np.int64).tolist(),
+        "mib_at_8_bytes": _mib(pow2),
+        "achieved_commit_probability": (1.0 - raw).tolist(),
+    }
+
+
+def _birthday_people_columns(cols: _Columns) -> _Columns:
+    prob = birthday_collision_probability_batch(cols["people"], cols["days"])
+    return {"collision_probability": prob.tolist()}
+
+
+def _birthday_target_columns(cols: _Columns) -> _Columns:
+    people = people_for_collision_probability_batch(cols["target"], cols["days"])
+    days = np.asarray(cols["days"], dtype=np.int64)
+    return {
+        "people": people.tolist(),
+        "collision_probability": birthday_collision_probability_batch(people, days).tolist(),
+        "occupancy_at_threshold": (people / days).tolist(),
+    }
+
+
+@dataclass(frozen=True)
+class _ModelForm:
+    """One request form of a model endpoint.
+
+    The response echoes ``fields`` in order, then ``evaluate``'s outputs;
+    ``finite`` names an output that must be finite to answer 200.
+    """
+
+    fields: tuple[_Field, ...]
+    evaluate: Callable[[_Columns], _Columns]
+    finite: Optional[str] = None
+
+
+_TABLE_FIELDS: tuple[_Field, ...] = (("c", int, 2), ("alpha", float, 2.0))
+_CONFLICT = _ModelForm(
+    (("w", float, _REQUIRED), ("n", int, _REQUIRED), *_TABLE_FIELDS),
+    _conflict_columns,
+    finite="raw",
+)
+_SIZING_FIELDS = (("w", int, _REQUIRED), ("commit", float, _REQUIRED), *_TABLE_FIELDS)
+_SIZING = _ModelForm(_SIZING_FIELDS, _sizing_columns)
+_CAPACITY = _ModelForm(_SIZING_FIELDS, _capacity_columns)
+_DAYS: _Field = ("days", int, 365)
+_BIRTHDAY_PEOPLE = _ModelForm((("people", int, _REQUIRED), _DAYS), _birthday_people_columns)
+_BIRTHDAY_TARGET = _ModelForm((("target", float, _REQUIRED), _DAYS), _birthday_target_columns)
+_BIRTHDAY_TARGET_GET = _ModelForm((("target", float, 0.5), _DAYS), _birthday_target_columns)
+
+
+def _birthday_form(keys: Container[str], get: bool) -> _ModelForm:
+    """People mode when ``people`` is given, else target mode."""
+    if "people" not in keys:
+        return _BIRTHDAY_TARGET_GET if get else _BIRTHDAY_TARGET
+    if "target" in keys and not get:
+        raise HTTPError(
+            HTTPStatus.BAD_REQUEST, "pass either 'people' or 'target', not both"
+        )
+    return _BIRTHDAY_PEOPLE
+
+
+# Path -> form for the request's query or body keys (GET or POST).  A GET
+# is a one-point batch; a POST is the batch plus its ``count``.
+_MODEL_ENDPOINTS: dict[str, Callable[[Container[str], bool], _ModelForm]] = {
+    "/v1/model/conflict": lambda keys, get: _CONFLICT,
+    "/v1/model/sizing": lambda keys, get: _SIZING,
+    "/v1/model/capacity": lambda keys, get: _CAPACITY,
+    "/v1/birthday": _birthday_form,
+}
 
 
 @dataclass(frozen=True)
@@ -226,11 +322,11 @@ class ServiceConfig:
     cluster_workers:
         Worker threads per ``execution: cluster`` sweep job.
     microbatch_window:
-        Seconds a scalar model GET waits for company before its
+        Seconds a conflict GET waits for company before its
         micro-batch flushes (``0`` disables coalescing; each request
         still evaluates through the batch code path, alone).
     microbatch_max:
-        Scalar model GETs per micro-batch before an immediate flush.
+        Conflict GETs per micro-batch before an immediate flush.
     """
 
     host: str = "127.0.0.1"
@@ -350,7 +446,7 @@ class Service(JsonHttpServer):
         # registry is only touched from the event loop.
         self._frames: "OrderedDict[str, SweepFrame]" = OrderedDict()
         self._conflict_batcher = MicroBatcher(
-            self._evaluate_conflict_points,
+            partial(self._evaluate_rows, "/v1/model/conflict", _CONFLICT),
             window=self.config.microbatch_window,
             max_batch=self.config.microbatch_max,
             observe=self._observe_microbatch,
@@ -361,6 +457,14 @@ class Service(JsonHttpServer):
             default_timeout=self.config.job_timeout,
             on_transition=self._on_job_transition,
         )
+        self._routes: dict[tuple[str, str], Callable[..., Any]] = {
+            ("GET", "/healthz"): self._handle_healthz,
+            ("GET", "/metrics"): self._handle_metrics,
+            ("POST", "/v1/sweeps"): self._handle_submit,
+        }
+        for path in _MODEL_ENDPOINTS:
+            self._routes["GET", path] = partial(self._handle_model_get, path)
+            self._routes["POST", path] = partial(self._handle_model_post, path)
         self._started_at = time.monotonic()
 
     # -- lifecycle ----------------------------------------------------
@@ -391,6 +495,7 @@ class Service(JsonHttpServer):
                 self._queue_wait.observe(wait)
         if job.state.terminal:
             self._jobs_terminal.inc(label=job.state.value)
+            self._sweep_points_done.remove(label=job.id)
 
     def _refresh_gauges(self) -> None:
         self._queue_depth.set(self.queue.depth)
@@ -418,7 +523,8 @@ class Service(JsonHttpServer):
         self._frames[job_id] = frame
         self._frames.move_to_end(job_id)
         while len(self._frames) > MAX_TRACKED_FRAMES:
-            self._frames.popitem(last=False)
+            evicted, _ = self._frames.popitem(last=False)
+            self._sweep_points_done.remove(label=evicted)
 
     def submit_sweep(self, body: Mapping[str, Any]) -> tuple[Job, bool]:
         """Validate + cache-probe + admit one sweep request.
@@ -500,19 +606,7 @@ class Service(JsonHttpServer):
         return None
 
     def _route(self, method: str, path: str) -> tuple[str, Callable[..., Any]]:
-        fixed: dict[tuple[str, str], Callable[..., Any]] = {
-            ("GET", "/healthz"): self._handle_healthz,
-            ("GET", "/metrics"): self._handle_metrics,
-            ("GET", "/v1/model/conflict"): self._handle_conflict,
-            ("POST", "/v1/model/conflict"): self._handle_conflict_batch,
-            ("GET", "/v1/model/sizing"): self._handle_sizing,
-            ("POST", "/v1/model/sizing"): self._handle_sizing_batch,
-            ("GET", "/v1/model/capacity"): self._handle_capacity,
-            ("POST", "/v1/model/capacity"): self._handle_capacity_batch,
-            ("GET", "/v1/birthday"): self._handle_birthday,
-            ("POST", "/v1/birthday"): self._handle_birthday_batch,
-            ("POST", "/v1/sweeps"): self._handle_submit,
-        }
+        fixed = self._routes
         if (method, path) in fixed:
             return path, fixed[(method, path)]
         if path.startswith("/v1/sweeps/"):
@@ -565,275 +659,67 @@ class Service(JsonHttpServer):
         self._microbatch_wait.observe(wait)
         self._microbatch_flushes.inc()
 
-    def _evaluate_conflict_points(
-        self, items: list[tuple[float, int, int, float]]
-    ) -> list[tuple[float, float]]:
-        """One vectorized evaluation answering a whole micro-batch."""
-        w, n, c, alpha = zip(*items)
-        raw = conflict_likelihood_batch(w, n, c, alpha)
-        prob = conflict_likelihood_product_form_batch(w, n, c, alpha)
-        self._model_points.inc(len(items), label="/v1/model/conflict")
-        return list(zip(raw.tolist(), prob.tolist()))
+    def _evaluate(self, path: str, form: _ModelForm, cols: _Columns,
+                  count: int) -> _Columns:
+        """Response columns for validated points: the inputs, then the outputs."""
+        out = {**cols, **form.evaluate(cols)}
+        self._model_points.inc(count, label=path)
+        return out
+
+    def _evaluate_rows(self, path: str, form: _ModelForm,
+                       points: list[dict[str, Any]]) -> list[dict[str, Any]]:
+        """Evaluate single points as one batch; row ``i`` answers ``points[i]``."""
+        cols = {name: [p[name] for p in points] for name, _, _ in form.fields}
+        out = self._evaluate(path, form, cols, len(points))
+        return [dict(zip(out, values)) for values in zip(*out.values())]
 
     @staticmethod
-    def _require_finite(values: np.ndarray, field: str) -> None:
-        bad = np.flatnonzero(~np.isfinite(np.atleast_1d(values)))
-        if bad.size:
+    def _require_finite(values: Sequence[float], field: str) -> None:
+        if not all(map(math.isfinite, values)):
+            bad = next(i for i, value in enumerate(values) if not math.isfinite(value))
             raise HTTPError(
                 HTTPStatus.BAD_REQUEST,
-                f"result {field!r} is non-finite at point {int(bad[0])}; "
+                f"result {field!r} is non-finite at point {bad}; "
                 "the model overflows for these parameters",
             )
 
-    async def _handle_conflict(self, query: Mapping[str, list[str]], body: bytes):
+    async def _handle_model_get(self, path: str, query: Mapping[str, list[str]],
+                                body: bytes):
+        """One point from the query string, answered as a one-point batch."""
         del body
-        w = query_float(query, "w")
-        n = query_int(query, "n")
-        c = query_int(query, "c", 2)
-        alpha = query_float(query, "alpha", 2.0)
-        # Validate *before* joining a batch: a bad point must 400 alone,
-        # never poison the flush it would have ridden in.
-        ModelParams(n_entries=n, concurrency=c, alpha=alpha)
-        if w < 0:
-            raise HTTPError(
-                HTTPStatus.BAD_REQUEST, "write footprint W must be non-negative"
+        form = _MODEL_ENDPOINTS[path](query, True)
+        point = {
+            name: (query_int if kind is int else query_float)(
+                query, name, None if default is _REQUIRED else default
             )
-        raw, prob = await self._conflict_batcher.submit((w, n, c, alpha))
-        if not (math.isfinite(raw) and math.isfinite(prob)):
-            raise HTTPError(
-                HTTPStatus.BAD_REQUEST,
-                "result 'raw' is non-finite; the model overflows for these parameters",
-            )
-        return (
-            HTTPStatus.OK,
-            {
-                "w": w,
-                "n": n,
-                "c": c,
-                "alpha": alpha,
-                "raw": raw,
-                "conflict_probability": prob,
-                "commit_probability": 1.0 - prob,
-            },
-            {},
-        )
+            for name, kind, default in form.fields
+        }
+        if form is _CONFLICT:
+            # Validate *before* joining a batch: a bad point must 400 alone,
+            # never poison the flush it would have ridden in.
+            ModelParams(n_entries=point["n"], concurrency=point["c"], alpha=point["alpha"])
+            if point["w"] < 0:
+                raise ValueError("write footprint W must be non-negative")
+            row = await self._conflict_batcher.submit(point)
+        else:
+            row = self._evaluate_rows(path, form, [point])[0]
+        if form.finite is not None:
+            self._require_finite([row[form.finite]], form.finite)
+        return HTTPStatus.OK, row, {}
 
-    def _handle_conflict_batch(self, query: Mapping[str, list[str]], body: bytes):
-        del query
-        cols, count = _batch_columns(
-            self.parse_json_body(body),
-            [("w", _REQUIRED), ("n", _REQUIRED), ("c", 2), ("alpha", 2.0)],
-        )
-        raw = conflict_likelihood_batch(cols["w"], cols["n"], cols["c"], cols["alpha"])
-        prob = conflict_likelihood_product_form_batch(
-            cols["w"], cols["n"], cols["c"], cols["alpha"]
-        )
-        self._require_finite(raw, "raw")
-        self._model_points.inc(count, label="/v1/model/conflict")
-        return (
-            HTTPStatus.OK,
-            {
-                "count": count,
-                "w": [float(v) for v in cols["w"]],
-                "n": _int_echo(cols["n"], "n"),
-                "c": _int_echo(cols["c"], "c"),
-                "alpha": [float(v) for v in cols["alpha"]],
-                "raw": raw.tolist(),
-                "conflict_probability": prob.tolist(),
-                "commit_probability": (1.0 - prob).tolist(),
-            },
-            {},
-        )
-
-    def _handle_sizing(self, query: Mapping[str, list[str]], body: bytes):
-        del body
-        w = query_int(query, "w")
-        commit = query_float(query, "commit")
-        c = query_int(query, "c", 2)
-        alpha = query_float(query, "alpha", 2.0)
-        entries = table_entries_for_commit_probability(
-            w, commit, concurrency=c, alpha=alpha
-        )
-        self._model_points.inc(label="/v1/model/sizing")
-        return (
-            HTTPStatus.OK,
-            {
-                "w": w,
-                "commit": commit,
-                "c": c,
-                "alpha": alpha,
-                "entries": entries,
-                "mib_at_8_bytes": entries * 8 / (1 << 20),
-            },
-            {},
-        )
-
-    def _handle_sizing_batch(self, query: Mapping[str, list[str]], body: bytes):
-        del query
-        cols, count = _batch_columns(
-            self.parse_json_body(body),
-            [("w", _REQUIRED), ("commit", _REQUIRED), ("c", 2), ("alpha", 2.0)],
-        )
-        w = _int_echo(cols["w"], "w")  # the scalar endpoint takes integer W
-        entries = table_entries_for_commit_probability_batch(
-            cols["w"], cols["commit"], concurrency=cols["c"], alpha=cols["alpha"]
-        )
-        self._model_points.inc(count, label="/v1/model/sizing")
-        return (
-            HTTPStatus.OK,
-            {
-                "count": count,
-                "w": w,
-                "commit": [float(v) for v in cols["commit"]],
-                "c": _int_echo(cols["c"], "c"),
-                "alpha": [float(v) for v in cols["alpha"]],
-                "entries": entries.tolist(),
-                "mib_at_8_bytes": (entries.astype(np.float64) * 8 / (1 << 20)).tolist(),
-            },
-            {},
-        )
-
-    def _handle_capacity(self, query: Mapping[str, list[str]], body: bytes):
-        del body
-        w = query_int(query, "w")
-        commit = query_float(query, "commit")
-        c = query_int(query, "c", 2)
-        alpha = query_float(query, "alpha", 2.0)
-        entries = table_entries_for_commit_probability(
-            w, commit, concurrency=c, alpha=alpha
-        )
-        pow2 = pow2_table_entries_for_commit_probability(
-            w, commit, concurrency=c, alpha=alpha
-        )
-        raw = float(
-            conflict_likelihood(
-                float(w), ModelParams(n_entries=pow2, concurrency=c, alpha=alpha)
-            )
-        )
-        self._model_points.inc(label="/v1/model/capacity")
-        return (
-            HTTPStatus.OK,
-            {
-                "w": w,
-                "commit": commit,
-                "c": c,
-                "alpha": alpha,
-                "entries": entries,
-                "entries_pow2": pow2,
-                "log2_entries_pow2": pow2.bit_length() - 1,
-                "mib_at_8_bytes": pow2 * 8 / (1 << 20),
-                "achieved_commit_probability": 1.0 - raw,
-            },
-            {},
-        )
-
-    def _handle_capacity_batch(self, query: Mapping[str, list[str]], body: bytes):
-        del query
-        cols, count = _batch_columns(
-            self.parse_json_body(body),
-            [("w", _REQUIRED), ("commit", _REQUIRED), ("c", 2), ("alpha", 2.0)],
-        )
-        w = _int_echo(cols["w"], "w")
-        entries = table_entries_for_commit_probability_batch(
-            cols["w"], cols["commit"], concurrency=cols["c"], alpha=cols["alpha"]
-        )
-        pow2 = pow2_table_entries_for_commit_probability_batch(
-            cols["w"], cols["commit"], concurrency=cols["c"], alpha=cols["alpha"]
-        )
-        raw = conflict_likelihood_batch(cols["w"], pow2, cols["c"], cols["alpha"])
-        self._model_points.inc(count, label="/v1/model/capacity")
-        return (
-            HTTPStatus.OK,
-            {
-                "count": count,
-                "w": w,
-                "commit": [float(v) for v in cols["commit"]],
-                "c": _int_echo(cols["c"], "c"),
-                "alpha": [float(v) for v in cols["alpha"]],
-                "entries": entries.tolist(),
-                "entries_pow2": pow2.tolist(),
-                "log2_entries_pow2": np.log2(pow2.astype(np.float64))
-                .astype(np.int64)
-                .tolist(),
-                "mib_at_8_bytes": (pow2.astype(np.float64) * 8 / (1 << 20)).tolist(),
-                "achieved_commit_probability": (1.0 - raw).tolist(),
-            },
-            {},
-        )
-
-    def _handle_birthday_batch(self, query: Mapping[str, list[str]], body: bytes):
+    def _handle_model_post(self, path: str, query: Mapping[str, list[str]],
+                           body: bytes):
+        """A batch of points from a JSON body of columns."""
         del query
         parsed = self.parse_json_body(body)
         if not isinstance(parsed, dict):
-            raise HTTPError(
-                HTTPStatus.BAD_REQUEST, "request body must be a JSON object"
-            )
-        if "people" in parsed and "target" in parsed:
-            raise HTTPError(
-                HTTPStatus.BAD_REQUEST, "pass either 'people' or 'target', not both"
-            )
-        if "people" in parsed:
-            cols, count = _batch_columns(
-                parsed, [("people", _REQUIRED), ("days", 365)]
-            )
-            prob = birthday_collision_probability_batch(cols["people"], cols["days"])
-            self._model_points.inc(count, label="/v1/birthday")
-            return (
-                HTTPStatus.OK,
-                {
-                    "count": count,
-                    "people": _int_echo(cols["people"], "people"),
-                    "days": _int_echo(cols["days"], "days"),
-                    "collision_probability": prob.tolist(),
-                },
-                {},
-            )
-        cols, count = _batch_columns(parsed, [("target", _REQUIRED), ("days", 365)])
-        people = people_for_collision_probability_batch(cols["target"], cols["days"])
-        days = np.asarray(cols["days"], dtype=np.int64)
-        prob = birthday_collision_probability_batch(people, days)
-        self._model_points.inc(count, label="/v1/birthday")
-        return (
-            HTTPStatus.OK,
-            {
-                "count": count,
-                "target": [float(v) for v in cols["target"]],
-                "days": _int_echo(cols["days"], "days"),
-                "people": people.tolist(),
-                "collision_probability": prob.tolist(),
-                "occupancy_at_threshold": (people / days).tolist(),
-            },
-            {},
-        )
-
-    def _handle_birthday(self, query: Mapping[str, list[str]], body: bytes):
-        del body
-        days = query_int(query, "days", 365)
-        self._model_points.inc(label="/v1/birthday")
-        if "people" in query:
-            people = query_int(query, "people")
-            return (
-                HTTPStatus.OK,
-                {
-                    "people": people,
-                    "days": days,
-                    "collision_probability": birthday_collision_probability(people, days=days),
-                },
-                {},
-            )
-        target = query_float(query, "target", 0.5)
-        people = people_for_collision_probability(target, days=days)
-        return (
-            HTTPStatus.OK,
-            {
-                "target": target,
-                "days": days,
-                "people": people,
-                "collision_probability": birthday_collision_probability(people, days=days),
-                "occupancy_at_threshold": people / days,
-            },
-            {},
-        )
+            raise HTTPError(HTTPStatus.BAD_REQUEST, "request body must be a JSON object")
+        form = _MODEL_ENDPOINTS[path](parsed, False)
+        cols, count = _batch_columns(parsed, form.fields)
+        out = self._evaluate(path, form, cols, count)
+        if form.finite is not None:
+            self._require_finite(out[form.finite], form.finite)
+        return HTTPStatus.OK, {"count": count, **out}, {}
 
     def _handle_submit(self, query: Mapping[str, list[str]], body: bytes):
         del query

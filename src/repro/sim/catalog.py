@@ -90,7 +90,7 @@ from repro.sim.engines import (
 from repro.sim.frame import FrameBackedSweepResult, FrameField, FrameSchema, SweepFrame
 from repro.sim.open_system import OpenSystemConfig
 from repro.sim.overflow import OverflowConfig, characterize_overflow
-from repro.sim.parallel import first_failure
+from repro.sim.parallel import raise_first_failure
 from repro.sim.sweep import run_grid, sweep_grid
 from repro.sim.trace_driven import TraceAliasConfig
 from repro.util.units import is_power_of_two
@@ -426,11 +426,7 @@ class SweepKind:
             cluster=cluster, cache=cache, chunk_size=chunk_size, frame=frame,
             progress=progress,
         )
-        failure = first_failure(sweep)
-        if failure is not None:
-            raise ValueError(
-                f"{self.name} point {failure.point} failed: {failure.summary}"
-            )
+        raise_first_failure(sweep, self.name)
         return sweep
 
     def execute(self, params: dict[str, Any], seed: int,

@@ -200,14 +200,19 @@ class SweepFrame:
             )
         if not points:
             return
+        # Build every column before writing any: a malformed outcome
+        # raises here and leaves the frame untouched.
+        updates = [(self._axis_cols[f.name], [p[f.name] for p in points])
+                   for f in self.schema.axes]
+        if self.schema.scalar:
+            updates.append((self._value_col, outcomes))
+        else:
+            updates += [(self._field_cols[f.name], [o[f.name] for o in outcomes])
+                        for f in self.schema.fields]
+        columns = [(col, np.asarray(values, dtype=col.dtype)) for col, values in updates]
         with self._lock:
-            for f in self.schema.axes:
-                self._axis_cols[f.name][start:stop] = [p[f.name] for p in points]
-            if self.schema.scalar:
-                self._value_col[start:stop] = outcomes
-            else:
-                for f in self.schema.fields:
-                    self._field_cols[f.name][start:stop] = [o[f.name] for o in outcomes]
+            for col, values in columns:
+                col[start:stop] = values
             fresh = int(np.count_nonzero(~self._filled[start:stop]))
             if fresh:
                 self._filled[start:stop] = True
@@ -383,6 +388,13 @@ def frame_from_wire(payload: Mapping[str, Any]) -> SweepFrame:
     capacity = int(payload["capacity"])
     offset = int(payload["offset"])
     count = int(payload["count"])
+    for name, value in (("offset", offset), ("count", count)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    if offset + count > capacity:
+        raise ValueError(
+            f"offset + count = {offset + count} exceeds the capacity of {capacity} points"
+        )
     scalar = bool(payload["scalar"])
     axes, axis_values = [], []
     for column in payload["axes"]:

@@ -22,6 +22,7 @@ import numpy as np
 from repro.htm.cache import CacheGeometry
 from repro.htm.htm import HTMContext, HTMOverflow
 from repro.sim.overflow_fast import _FIRST_CHUNK
+from repro.sim.parallel import raise_first_failure
 from repro.sim.sweep import run_grid
 from repro.traces.workloads import SPEC2000_PROFILES, BenchmarkProfile, _trace_prefixes
 from repro.util.rng import stream_rng
@@ -209,6 +210,7 @@ def fleet_summary(
     grid = [{"bench": name} for name in names]
     fn = partial(_characterize_named, profile_table=table, cfg=cfg, engine=engine)
     sweep = run_grid(fn, grid, jobs=jobs)
+    raise_first_failure(sweep, "fleet_summary")
     out: dict[str, OverflowResult] = {point["bench"]: result for point, result in sweep}
 
     measured = [r for r in out.values() if r.traces_overflowed > 0]

@@ -42,7 +42,13 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.sim.sweep import SweepResult, SweepSink, _call_point
 
-__all__ = ["SweepFailure", "SweepTelemetry", "first_failure", "run_sweep_parallel"]
+__all__ = [
+    "SweepFailure",
+    "SweepTelemetry",
+    "first_failure",
+    "raise_first_failure",
+    "run_sweep_parallel",
+]
 
 _CRASH_MESSAGE = "worker process died"
 
@@ -85,6 +91,17 @@ def first_failure(result: SweepResult) -> Optional[SweepFailure]:
     if not getattr(result.telemetry, "failures", 0):
         return None
     return next(o for o in result.outcomes if isinstance(o, SweepFailure))
+
+
+def raise_first_failure(result: SweepResult, name: str) -> None:
+    """Raise a run's first recorded failure as a :class:`ValueError`.
+
+    The message names the point and its error's last line, so a pool
+    run fails as visibly as a serial run, whose point raises itself.
+    """
+    failure = first_failure(result)
+    if failure is not None:
+        raise ValueError(f"{name} point {failure.point} failed: {failure.summary}")
 
 
 @dataclass(frozen=True)

@@ -276,9 +276,9 @@ def run_grid(
                 missing.append(chunk)
 
     def settle(chunk: Any, outcomes: list[Any]) -> None:
+        sink.fill_many(chunk.start, outcomes)  # raises before a bad chunk is stored
         if cache is not None:
             cache.put(keys[chunk], outcomes)
-        sink.fill_many(chunk.start, outcomes)
 
     if not pool:
         for chunk in missing:

@@ -43,7 +43,7 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.worker import WorkerConfig, WorkerThread
 from repro.service.cache import ResultCache
-from repro.sim.catalog import _open_point
+from repro.sim.catalog import SWEEP_KINDS, _open_point
 from repro.sim.sweep import run_sweep, sweep_grid
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -301,6 +301,52 @@ class TestProtocolFaults:
         assert status == 200 and ack["status"] == "recorded"
         status, snap = client.get(STATUS_PATH)
         assert snap["leases"]["pending"] == len(GRID)  # back in the pool
+
+
+class TestMalformedResult:
+    def test_malformed_chunk_is_rejected_and_dispatched_again(self):
+        """Outcomes missing a schema field 400 and leave the chunk leased."""
+        kind = SWEEP_KINDS["fig4a"]
+        params = kind.validate({"n_values": [64, 128, 256], "w_values": [2, 4],
+                                "samples": 25})
+        expected = json.dumps(kind.assemble(params, kind.run(params, 5)), sort_keys=True)
+        frame = kind.make_frame(params)
+        handle, coordinator = boot(
+            task_from_callable(kind.bind(params, 5)), kind.grid(params),
+            CoordinatorConfig(lease_ttl=0.3, chunk_size=2), frame=frame,
+        )
+        client = Client(coordinator.host, coordinator.port)
+        try:
+            for _ in range(2):
+                status, reply = client.post(
+                    LEASE_PATH, {"worker": "bad", "run_id": coordinator.run_id}
+                )
+                assert status == 200 and reply["state"] == "lease"
+                chunk = reply["chunk"]
+                status, error = client.post(
+                    RESULT_PATH,
+                    {
+                        "worker": "bad",
+                        "run_id": coordinator.run_id,
+                        "chunk_index": chunk["index"],
+                        "ok": True,
+                        "outcomes": [{"w": 2}] * (chunk["stop"] - chunk["start"]),
+                    },
+                )
+                assert status == 400 and "do not fit" in error["error"]
+                assert not coordinator.leases.is_done(chunk["index"])
+            assert frame.filled_count == 0
+            worker = WorkerThread(
+                WorkerConfig(coordinator=coordinator.url, worker_id="good",
+                             poll_interval=0.01)
+            )
+            worker.start()
+            result = coordinator.result(timeout=60)
+            worker.stop()
+        finally:
+            client.close()
+            handle.stop()
+        assert json.dumps(kind.assemble(params, result), sort_keys=True) == expected
 
 
 class TestChunkCache:

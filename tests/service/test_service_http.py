@@ -340,6 +340,155 @@ class TestBatchModelEndpoints:
         assert "point 1" in data["error"]
 
 
+def encoded(payload: dict) -> bytes:
+    """A body as the service writes it."""
+    return (json.dumps(payload, allow_nan=False) + "\n").encode("utf-8")
+
+
+class TestGetMatchesScalarReference:
+    """Each GET body equals the scalar ``repro.core`` answer, encoded by hand.
+
+    GETs and POSTs share one evaluation path, so the GET-vs-POST identity
+    tests above compare that path with itself; these pin it to the scalar
+    functions instead, in the response's key order.
+    """
+
+    @pytest.mark.parametrize(
+        ("w", "n", "c", "alpha"),
+        [
+            (20, 4096, 2, 2.0),
+            (71, 50410, 2, 2.0),
+            (5, 64, 1, 2.0),  # C = 1: no other transaction, no conflict
+            (7, 1024, 4, 0.0),  # alpha = 0: writes only
+            (0, 4096, 2, 2.0),  # W = 0
+            (300, 1 << 20, 16, 8.0),
+        ],
+    )
+    def test_conflict(self, service, w, n, c, alpha):
+        from repro.core.model import (
+            ModelParams,
+            conflict_likelihood,
+            conflict_likelihood_product_form,
+        )
+
+        handle, _ = service
+        params = ModelParams(n_entries=n, concurrency=c, alpha=alpha)
+        prob = float(conflict_likelihood_product_form(float(w), params))
+        expected = {
+            "w": float(w),
+            "n": n,
+            "c": c,
+            "alpha": alpha,
+            "raw": float(conflict_likelihood(float(w), params)),
+            "conflict_probability": prob,
+            "commit_probability": 1.0 - prob,
+        }
+        status, body = raw_get(handle, f"/v1/model/conflict?w={w}&n={n}&c={c}&alpha={alpha}")
+        assert (status, body) == (200, encoded(expected))
+
+    # Entries of 2 W^2 / (1 - commit) at C = 2, alpha = 0.5: 256 = 2^8 at
+    # W = 8, commit = 0.5, and just above it (257) at commit = 0.50001.
+    SIZING_POINTS = [
+        (8, 0.5, 2, 0.5, 256),
+        (8, 0.50001, 2, 0.5, 257),
+        (4, 0.375, 2, 2.0, 128),
+        (4, 0.37501, 2, 2.0, 129),
+        (1, 0.5, 2, 0.0, 2),
+        (71, 0.95, 8, 2.0, 14_114_800),
+    ]
+
+    @pytest.mark.parametrize(("w", "commit", "c", "alpha", "entries"), SIZING_POINTS)
+    def test_sizing(self, service, w, commit, c, alpha, entries):
+        from repro.core.sizing import table_entries_for_commit_probability
+
+        handle, _ = service
+        got = table_entries_for_commit_probability(w, commit, concurrency=c, alpha=alpha)
+        assert got == entries
+        expected = {
+            "w": w,
+            "commit": commit,
+            "c": c,
+            "alpha": alpha,
+            "entries": got,
+            "mib_at_8_bytes": got * 8 / (1 << 20),
+        }
+        status, body = raw_get(
+            handle, f"/v1/model/sizing?w={w}&commit={commit}&c={c}&alpha={alpha}"
+        )
+        assert (status, body) == (200, encoded(expected))
+
+    @pytest.mark.parametrize(("w", "commit", "c", "alpha", "entries"), SIZING_POINTS)
+    def test_capacity(self, service, w, commit, c, alpha, entries):
+        from repro.core.model import ModelParams, conflict_likelihood
+        from repro.core.sizing import pow2_table_entries_for_commit_probability
+
+        handle, _ = service
+        pow2 = pow2_table_entries_for_commit_probability(
+            w, commit, concurrency=c, alpha=alpha
+        )
+        raw = conflict_likelihood(
+            float(w), ModelParams(n_entries=pow2, concurrency=c, alpha=alpha)
+        )
+        expected = {
+            "w": w,
+            "commit": commit,
+            "c": c,
+            "alpha": alpha,
+            "entries": entries,
+            "entries_pow2": pow2,
+            "log2_entries_pow2": pow2.bit_length() - 1,
+            "mib_at_8_bytes": pow2 * 8 / (1 << 20),
+            "achieved_commit_probability": 1.0 - float(raw),
+        }
+        status, body = raw_get(
+            handle, f"/v1/model/capacity?w={w}&commit={commit}&c={c}&alpha={alpha}"
+        )
+        assert (status, body) == (200, encoded(expected))
+
+    @pytest.mark.parametrize(
+        ("people", "days"), [(0, 365), (1, 365), (2, 365), (23, 365), (366, 365), (5, 1)]
+    )
+    def test_birthday_people(self, service, people, days):
+        from repro.core.birthday import birthday_collision_probability
+
+        handle, _ = service
+        expected = {
+            "people": people,
+            "days": days,
+            "collision_probability": birthday_collision_probability(people, days=days),
+        }
+        status, body = raw_get(handle, f"/v1/birthday?people={people}&days={days}")
+        assert (status, body) == (200, encoded(expected))
+
+    @pytest.mark.parametrize(
+        ("query", "target", "days"),
+        [
+            ("", 0.5, 365),  # every default
+            ("days=1000", 0.5, 1000),  # default target
+            ("target=0.5", 0.5, 365),
+            ("target=0.99&days=1048576", 0.99, 1 << 20),
+            ("target=0.01&days=2", 0.01, 2),
+        ],
+    )
+    def test_birthday_target(self, service, query, target, days):
+        from repro.core.birthday import (
+            birthday_collision_probability,
+            people_for_collision_probability,
+        )
+
+        handle, _ = service
+        people = people_for_collision_probability(target, days=days)
+        expected = {
+            "target": target,
+            "days": days,
+            "people": people,
+            "collision_probability": birthday_collision_probability(people, days=days),
+            "occupancy_at_threshold": people / days,
+        }
+        status, body = raw_get(handle, f"/v1/birthday?{query}")
+        assert (status, body) == (200, encoded(expected))
+
+
 class TestStrictQueryParsing:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity", "NaN"])
     @pytest.mark.parametrize("path", [

@@ -268,3 +268,27 @@ class TestProgressSurface:
             and f'job="{job_id}"' in line
         )
         assert float(line.split()[1]) == 20.0
+
+
+class TestProgressGaugeBound:
+    def test_series_stay_within_the_tracked_frames(self, service):
+        """One series per tracked frame at most, however many jobs ran."""
+        from repro.service.server import MAX_TRACKED_FRAMES
+
+        _, client = service
+        body = dict(BODY, params=dict(BODY["params"], n_values=[64], w_values=[2],
+                                      samples=5))
+        job_ids = []
+        for seed in range(MAX_TRACKED_FRAMES + 16):
+            status, submitted, _ = client.post("/v1/sweeps", dict(body, seed=seed))
+            assert status == 202
+            job_ids.append(submitted["id"])
+            client.poll_job(submitted["id"])
+        for job_id in job_ids:
+            client.get(f"/v1/sweeps/{job_id}")
+        _, text, _ = client.get("/metrics")
+        series = [line for line in text.splitlines()
+                  if line.startswith("repro_sweep_points_done{")]
+        assert len(series) == MAX_TRACKED_FRAMES
+        assert not any(f'job="{job_id}"' in line
+                       for job_id in job_ids[:16] for line in series)

@@ -11,6 +11,7 @@ encoding's byte-for-byte fidelity.
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import numpy as np
@@ -124,6 +125,17 @@ class TestFill:
         with pytest.raises(IndexError):
             frame.fill_many(0, [p for p, _ in rows], [o for _, o in rows])
 
+    def test_failed_fill_many_writes_nothing(self):
+        frame = SweepFrame(RECORD, 2)
+        points = [{"bench": "gzip", "n": 256}, {"bench": "mcf", "n": 512}]
+        outcomes = [{"bench": "gzip", "rate": 0.5, "hits": 1}, {"bench": "mcf", "rate": 0.25}]
+        with pytest.raises(KeyError, match="hits"):
+            frame.fill_many(0, points, outcomes)
+        assert frame.filled_count == 0
+        assert list(frame.column("bench")) == [None, None]
+        assert list(frame.column("n")) == [0, 0]
+        assert np.isnan(frame.column("rate")).all()
+
 
 class TestRowViews:
     def test_native_types_round_trip(self):
@@ -228,6 +240,25 @@ class TestWire:
         payload = good.to_wire()
         payload["version"] = 99
         with pytest.raises(ValueError, match="version"):
+            frame_from_wire(payload)
+
+
+    @pytest.mark.parametrize(
+        ("offset", "count", "bound"),
+        [
+            (-3, 2, "offset must be non-negative, got -3"),
+            (0, -1, "count must be non-negative, got -1"),
+            (3, 2, "offset + count = 5 exceeds the capacity of 4 points"),
+            (5, 0, "offset + count = 5 exceeds the capacity of 4 points"),
+        ],
+    )
+    def test_window_outside_the_frame_rejected(self, offset, count, bound):
+        frame = SweepFrame(SCALAR, 4)
+        for i, (point, outcome) in enumerate(_scalar_rows(4)):
+            frame.fill(i, point, outcome)
+        payload = frame.to_wire(offset=1, limit=2)
+        payload["offset"], payload["count"] = offset, count
+        with pytest.raises(ValueError, match=re.escape(bound)):
             frame_from_wire(payload)
 
 

@@ -76,6 +76,14 @@ class TestFleet:
             (out["gcc"].mean_footprint + out["mcf"].mean_footprint) / 2
         )
 
+    def test_failed_point_raises_value_error_serial_and_pooled(self):
+        with pytest.raises(ValueError) as serial:
+            fleet_summary(FAST, benchmarks=["gcc", "mcf"], engine="bogus")
+        with pytest.raises(ValueError) as pooled:
+            fleet_summary(FAST, benchmarks=["gcc", "mcf"], engine="bogus", jobs=2)
+        assert "fleet_summary point {'bench': 'gcc'} failed" in str(pooled.value)
+        assert str(serial.value) in str(pooled.value)
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError, match="unknown benchmarks"):
             fleet_summary(FAST, benchmarks=["nonesuch"])

@@ -163,6 +163,20 @@ class TestEngineFlag:
         assert "invalid choice" in capsys.readouterr().err
 
 
+class TestInterrupt:
+    def test_ctrl_c_prints_one_line_and_exits_130(self, capsys, monkeypatch):
+        from repro import cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "fig4a", interrupted)
+        assert main(["fig4a", "--samples", "100"]) == 130
+        captured = capsys.readouterr()
+        assert captured.err == "interrupted\n"
+        assert captured.out == ""
+
+
 class TestVersionFlag:
     def test_version_string_matches_package(self):
         import repro
