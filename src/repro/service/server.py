@@ -177,19 +177,24 @@ def _batch_columns(
     for name, kind, default in fields:
         value = parsed.get(name, default)
         items = value if isinstance(value, list) else [value] * length
-        for item in items:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise HTTPError(
-                    HTTPStatus.BAD_REQUEST, f"field {name!r} must contain only numbers"
-                )
-            if not math.isfinite(item):
-                raise HTTPError(
-                    HTTPStatus.BAD_REQUEST, f"field {name!r} must be finite everywhere"
-                )
-            if kind is int and not float(item).is_integer():
-                raise HTTPError(
-                    HTTPStatus.BAD_REQUEST, f"field {name!r} must contain integers"
-                )
+        try:
+            for item in items:
+                if isinstance(item, bool) or not isinstance(item, (int, float)):
+                    raise HTTPError(
+                        HTTPStatus.BAD_REQUEST, f"field {name!r} must contain only numbers"
+                    )
+                if not math.isfinite(item):
+                    raise HTTPError(
+                        HTTPStatus.BAD_REQUEST, f"field {name!r} must be finite everywhere"
+                    )
+                if kind is int and not float(item).is_integer():
+                    raise HTTPError(
+                        HTTPStatus.BAD_REQUEST, f"field {name!r} must contain integers"
+                    )
+        except OverflowError:  # an int past the float range, which a GET parses to inf
+            raise HTTPError(
+                HTTPStatus.BAD_REQUEST, f"field {name!r} must be finite everywhere"
+            ) from None
         columns[name] = [kind(item) for item in items]
     return columns, length
 

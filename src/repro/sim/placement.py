@@ -15,12 +15,12 @@ threads present to the ownership table, before any hash is applied.
   block) and hash-index aliasing (the false conflicts a tagged table
   would eliminate).
 * :func:`simulate_table_ab` (the ``fig7`` sweep kind) replays identical
-  footprint streams transactionally through a
-  :class:`~repro.ownership.tagless.TaglessOwnershipTable` or a
-  :class:`~repro.ownership.tagged.TaggedOwnershipTable` — the same
-  windows, the same lock-step schedule, the table the only variable —
-  and reports the §5 ledger: conflict classification counters, aborts,
-  and the tagged table's chain/indirection costs.
+  footprint streams transactionally against a tagless or a tagged
+  ownership table — the same windows, the same lock-step schedule, the
+  table the only variable — and reports the §5 ledger: conflict
+  classification counters, aborts, and the tagged table's
+  chain/indirection costs.  The replay runs over all rounds at once in
+  numpy; it counts what the :mod:`repro.ownership` tables would.
 
 Determinism contract: all randomness derives from
 :func:`repro.util.rng.stream_rng` keyed by the config scalars, and the
@@ -38,10 +38,7 @@ import numpy as np
 
 from repro.alloc.spec import placement_preset
 from repro.alloc.streams import draw_object_sizes, placed_heap
-from repro.ownership.base import AccessMode
 from repro.ownership.hashing import make_hash
-from repro.ownership.tagged import TaggedOwnershipTable
-from repro.ownership.tagless import TaglessOwnershipTable
 from repro.sim.montecarlo import collision_probability_estimate, cross_thread_conflicts
 from repro.sim.trace_fast import _draw_starts, _stack_footprints, _window_index, _WindowIndex
 from repro.traces.synthetic import zipf_working_set
@@ -374,7 +371,11 @@ def simulate_table_ab(cfg: TableABConfig) -> TableABResult:
     ``aborts``); threads that finish their footprint commit.  The rng is
     keyed on everything *except* the table kind, so tagless and tagged
     replay byte-identical streams and schedules — the table is the only
-    A/B variable.
+    A/B variable.  The ledger is what a
+    :class:`~repro.ownership.tagless.TaglessOwnershipTable` (tracking
+    addresses) or a :class:`~repro.ownership.tagged.TaggedOwnershipTable`
+    counts over this schedule; :func:`_replay_ledger` derives it from
+    whole arrays instead of one ``acquire`` per access.
     """
     blocks, streams = _placed_thread_streams(
         cfg.placement,
@@ -386,10 +387,6 @@ def simulate_table_ab(cfg: TableABConfig) -> TableABResult:
         cfg.seed,
     )
     hash_fn = make_hash(cfg.hash_kind, cfg.n_entries)
-    if cfg.table == "tagged":
-        table = TaggedOwnershipTable(cfg.n_entries, hash_fn)
-    else:
-        table = TaglessOwnershipTable(cfg.n_entries, hash_fn, track_addresses=True)
     rng = stream_rng(
         cfg.seed,
         "alloc-table-ab",
@@ -405,71 +402,184 @@ def simulate_table_ab(cfg: TableABConfig) -> TableABResult:
     )
 
     windows, rows = _indexed_windows(streams, rng, cfg.rounds, cfg.write_footprint)
-    # Each window's transaction: its distinct blocks as sorted Python
-    # ints, each with its write flag; txns_by_thread[t][r] is round r's.
-    block_list = blocks.tolist()
-    txns_by_thread = []
-    for ix, (ids, _), thread_rows in zip(windows, streams, rows):
-        fp = ix.footprints(ids, len(blocks))
-        labels, writes = fp.labels.tolist(), fp.writes.tolist()
-        row_txns = [
-            list(zip([block_list[b] for b in labels[r][:k]], writes[r][:k]))
-            for r, k in enumerate(fp.counts.tolist())
-        ]
-        txns_by_thread.append([row_txns[r] for r in thread_rows.tolist()])
+    # Thread t's round-r transaction is its footprint row rows[t][r]: the
+    # window's distinct block ids in ascending order, one per step.
+    footprints = [ix.footprints(ids, len(blocks)) for ix, (ids, _) in zip(windows, streams)]
+    steps = max(fp.labels.shape[1] for fp in footprints)
+    block = np.full((cfg.rounds, steps, cfg.concurrency), -1, dtype=np.int64)
+    write = np.zeros(block.shape, dtype=bool)
+    for t, (fp, r) in enumerate(zip(footprints, rows)):
+        labels = fp.labels[r]
+        width = labels.shape[1]
+        block[:, :width, t] = np.where(labels < len(blocks), labels, -1)
+        write[:, :width, t] = fp.writes[r]
+    _, entry_of = np.unique(np.asarray(hash_fn(blocks)), return_inverse=True)
+    ledger = _replay_ledger(block, write, entry_of, cfg.n_entries, tagged=cfg.table == "tagged")
+    return TableABResult(config=cfg, **ledger)
 
-    c = cfg.concurrency
-    aborts = 0
-    committed = 0
-    simple_sum = 0.0
-    max_chain = 0
-    for rnd in range(cfg.rounds):
-        txns = [thread_txns[rnd] for thread_txns in txns_by_thread]
-        alive = [True] * c
-        idx = [0] * c
-        remaining = c
-        while remaining:
-            remaining = 0
-            for t in range(c):
-                if not alive[t] or idx[t] >= len(txns[t]):
-                    continue
-                block, is_write = txns[t][idx[t]]
-                mode = AccessMode.WRITE if is_write else AccessMode.READ
-                if table.acquire(t, block, mode).granted:
-                    idx[t] += 1
-                    if idx[t] < len(txns[t]):
-                        remaining += 1
-                else:
-                    alive[t] = False
-                    table.release_all(t)
-                    aborts += 1
-        committed += sum(
-            1 for t in range(c) if alive[t] and idx[t] == len(txns[t])
-        )
-        if isinstance(table, TaggedOwnershipTable):
-            stats = table.chain_stats()
-            simple_sum += stats.fraction_entries_simple
-            max_chain = max(max_chain, stats.max_chain)
-        else:
-            simple_sum += 1.0
-        for t in range(c):
-            table.release_all(t)
 
-    counters = table.counters
-    indirection = (
-        table.indirection_rate if isinstance(table, TaggedOwnershipTable) else 0.0
+# Abort point of a thread that commits.
+_NEVER = np.iinfo(np.int64).max
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start of each run of equal values in sorted ``keys``, and each value's run."""
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _live_counts(
+    key: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+    at_key: np.ndarray,
+    at: np.ndarray,
+    horizon: int,
+) -> np.ndarray:
+    """How many ``(start, end]`` intervals of its key contain each probe.
+
+    The key's starts before ``at`` less its ends before ``at``; times
+    are below ``horizon``, and keys are packed above them.
+    """
+    starts = np.sort(key * horizon + start)
+    ends = np.sort(key * horizon + end)
+    probes = at_key * horizon + at
+    return np.searchsorted(starts, probes) - np.searchsorted(ends, probes)
+
+
+def _replay_ledger(
+    block: np.ndarray,
+    write: np.ndarray,
+    entry_of: np.ndarray,
+    n_entries: int,
+    *,
+    tagged: bool,
+) -> dict:
+    """The :class:`TableABResult` counters of a lock-step replay.
+
+    ``block[r, s, t]`` is the block id thread ``t`` acquires at step
+    ``s`` of round ``r``, or ``-1`` once its transaction is done, and
+    ``write`` flags the writes; a transaction names each block once.
+    ``entry_of`` maps block ids to table entries, relabelled densely.
+    Rounds are independent: every round ends with each thread releasing
+    everything, so each starts on an empty table.
+
+    Accesses are ordered by (round, step, thread).  An access is refused
+    when a live other thread was granted the same key earlier (its entry
+    for tagless, its block for tagged) and the access or that thread's
+    hold there is a write; the refused thread aborts and releases.
+    Each pass speculates that no abort is missing, checks every round
+    at once, and fixes each round's first refusal — a real one, since
+    nothing before it changed.  It stops when no refusal is left, after
+    at most one pass more than any round's aborts.  One last pass reads
+    the counters off the abort points.
+    """
+    rounds, steps, c = block.shape
+    span = (steps + 1) * c  # orders per round; the spare last step commits
+    horizon = rounds * span
+    flat = np.flatnonzero(block.ravel() >= 0)
+    o = flat + flat // (steps * c) * c
+    b = block.ravel()[flat]
+    w = write.ravel()[flat]
+    t = o % c
+    key = b if tagged else entry_of[b]
+
+    # Sort into (round, key, thread) runs, each in order: a thread's
+    # first access and first write on a key decide whom it refuses.
+    group = (o // span * len(entry_of) + key) * c + t
+    srt = np.argsort(group, kind="stable")
+    o, w, t, b, group = o[srt], w[srt], t[srt], b[srt], group[srt]
+    slot = o // span * c + t  # the (round, thread) of each access
+    run_start, run = _runs(group)
+    first = o[run_start]
+    first_write = np.minimum.reduceat(np.where(w, o, _NEVER), run_start)
+    run_thread = t[run_start]
+
+    # Pair each access with the other threads' runs on its (round, key)
+    # that could refuse it: an access's k-th pair is its key's k-th run.
+    key_start, key_of_run = _runs(group[run_start] // c)
+    runs_on_key = np.diff(np.r_[key_start, len(run_start)])[key_of_run[run]]
+    shared = np.flatnonzero(runs_on_key > 1)
+    reps = runs_on_key[shared]
+    ev = np.repeat(shared, reps)
+    other = np.arange(len(ev)) + np.repeat(
+        key_start[key_of_run[run[shared]]] - np.cumsum(reps) + reps, reps
     )
-    return TableABResult(
-        config=cfg,
-        acquires=counters.acquires,
-        grants=counters.grants,
-        true_conflicts=counters.true_conflicts,
-        false_conflicts=counters.false_conflicts,
-        unclassified_conflicts=counters.unclassified_conflicts,
-        upgrades=counters.upgrades,
+    at = o[ev]
+    refuses = (run_thread[other] != t[ev]) & np.where(
+        w[ev], first[other] < at, first_write[other] < at
+    )
+    ev, other = ev[refuses], other[refuses]
+    by_order = np.argsort(at[refuses], kind="stable")
+    ev, other = ev[by_order], other[by_order]
+    at, req = o[ev], slot[ev]
+    holder = req - t[ev] + run_thread[other]
+
+    abort_at = np.full(rounds * c, _NEVER, dtype=np.int64)
+    while len(at):
+        live = (abort_at[req] > at) & (abort_at[holder] > at)
+        at, req, holder = at[live], req[live], holder[live]
+        head, _ = _runs(at // span)
+        abort_at[req[head]] = at[head]
+
+    attempted = o <= abort_at[slot]
+    granted = o < abort_at[slot]
+    refused = attempted & ~granted
+    aborted = abort_at != _NEVER
+    aborts = int(aborted.sum())
+    acquires = int(attempted.sum())
+    upgrades = int((granted & w & (first[run] < o) & (first_write[run] == o)).sum())
+
+    # Block records: a grant holds its block until its thread aborts or
+    # commits; overlapping holds of one block are one record.
+    commit = (np.arange(rounds * c) // c + 1) * span - 1
+    release = np.where(aborted, abort_at, commit)[slot[granted]]
+    held = np.argsort(b[granted] * horizon + o[granted])
+    hb, hs = b[granted][held], o[granted][held]
+    last = np.maximum.accumulate(hb * horizon + release[held])
+    new = np.ones(len(hb) + 1, dtype=bool)  # where a record starts, or all have ended
+    new[1:-1] = hb[1:] * horizon + hs[1:] > last[:-1]
+    rec_b, rec_start = hb[new[:-1]], hs[new[:-1]]
+    rec_end = last[new[1:]] - rec_b * horizon
+
+    ledger = dict(
+        acquires=acquires,
+        grants=acquires - aborts,
+        true_conflicts=aborts,
+        false_conflicts=0,
+        unclassified_conflicts=0,
+        upgrades=upgrades,
         aborts=aborts,
-        committed=committed,
-        indirection_rate=float(indirection),
-        mean_fraction_simple=simple_sum / cfg.rounds,
-        max_chain=max_chain,
+        committed=rounds * c - aborts,
+        indirection_rate=0.0,
+        mean_fraction_simple=1.0,
+        max_chain=0,
     )
+    if not tagged:
+        # True when a live other holder touched the very block refused.
+        true = int((_live_counts(rec_b, rec_start, rec_end, b[refused], o[refused],
+                                 horizon) > 0).sum())
+        ledger.update(true_conflicts=true, false_conflicts=aborts - true)
+        return ledger
+
+    # A probe follows the chain pointer when its entry holds > 1 record.
+    chains = _live_counts(
+        entry_of[rec_b], rec_start, rec_end, entry_of[b[attempted]], o[attempted], horizon
+    )
+    # Chain lengths each round are taken from the records still held at
+    # its commit, after aborted threads have released theirs.
+    kept = rec_end % span == span - 1
+    at_commit, lengths = np.unique(
+        rec_end[kept] // span * len(entry_of) + entry_of[rec_b[kept]], return_counts=True
+    )
+    multi = np.bincount(at_commit[lengths > 1] // len(entry_of), minlength=rounds)
+    simple_sum = 0.0
+    for m in multi.tolist():  # left to right, as the rounds ran
+        simple_sum += (n_entries - m) / n_entries
+    ledger.update(
+        indirection_rate=int((chains > 1).sum()) / acquires if acquires else 0.0,
+        mean_fraction_simple=simple_sum / rounds,
+        max_chain=int(lengths.max(initial=0)),
+    )
+    return ledger

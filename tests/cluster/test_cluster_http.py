@@ -99,7 +99,38 @@ class TestDistributedDeterminism:
         assert list(result.outcomes) == list(SERIAL.outcomes)
 
     def test_telemetry_shape(self):
-        result = run_sweep_cluster_from_callable(POINT, GRID, workers=2, timeout=60)
+        # Two workers each lease one of the two chunks before either
+        # submits, so each settles one whatever the scheduling.  (A worker
+        # fleet may leave one worker settling every chunk of this grid.)
+        handle, coordinator = boot(
+            task_from_callable(POINT), GRID, CoordinatorConfig(lease_ttl=30.0, chunk_size=3)
+        )
+        client = Client(coordinator.host, coordinator.port)
+        try:
+            leases = {}
+            for worker in ("w1", "w2"):
+                status, reply = client.post(
+                    LEASE_PATH, {"worker": worker, "run_id": coordinator.run_id}
+                )
+                assert status == 200 and reply["state"] == "lease"
+                leases[worker] = reply
+            for worker, reply in leases.items():
+                chunk = reply["chunk"]
+                outcomes = run_sweep(POINT, GRID[chunk["start"]:chunk["stop"]]).outcomes
+                status, _ = client.post(RESULT_PATH, {
+                    "worker": worker,
+                    "run_id": coordinator.run_id,
+                    "lease_id": reply["lease"]["id"],
+                    "chunk_index": chunk["index"],
+                    "ok": True,
+                    "outcomes": list(outcomes),
+                })
+                assert status == 200
+            result = coordinator.result(timeout=30)
+        finally:
+            client.close()
+            handle.stop()
+        assert list(result.outcomes) == list(SERIAL.outcomes)
         t = result.telemetry
         assert t.workers == 2 and t.n_points == len(GRID)
         assert t.wall_seconds > 0 and t.points_per_second > 0

@@ -323,6 +323,21 @@ class TestBatchModelEndpoints:
             assert status == 400, body
             assert "error" in data
 
+    @pytest.mark.parametrize(
+        "path,body,field",
+        [
+            ("/v1/model/conflict", {"w": [1], "n": [10**400]}, "n"),
+            ("/v1/model/conflict", {"w": [1, -(10**400)], "n": 4096}, "w"),
+            ("/v1/birthday", {"people": [10**400]}, "people"),
+        ],
+    )
+    def test_batch_int_beyond_float_range_400_names_field(self, service, path, body, field):
+        # The GET form parses such a number to inf and 400s; so does the POST.
+        _, client = service
+        status, data, _ = client.post(path, body)
+        assert status == 400
+        assert repr(field) in data["error"]
+
     def test_batch_point_cap_400(self, service):
         _, client = service
         status, data, _ = client.post(
