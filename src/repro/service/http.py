@@ -90,13 +90,21 @@ def query_float(query: Mapping[str, list[str]], key: str,
 
 def query_int(query: Mapping[str, list[str]], key: str,
               default: Optional[int] = None) -> int:
-    """Read one integer query parameter, 400ing on absence or non-integers."""
+    """Read one integer query parameter, 400ing on absence or non-integers.
+
+    Validated through :func:`query_float`, so the accepted spellings and
+    every error match it; an integer literal then parses exactly (a
+    float would round ``2**53 + 1``), other spellings (``1e3``) as floats.
+    """
     value = query_float(query, key, None if default is None else float(default))
     if not float(value).is_integer():
         raise HTTPError(
             HTTPStatus.BAD_REQUEST, f"query parameter {key!r} must be an integer"
         )
-    return int(value)
+    try:
+        return int(query[key][0])
+    except (KeyError, IndexError, ValueError):
+        return int(value)
 
 
 class JsonHttpServer:

@@ -4,8 +4,8 @@ The open-system and trace-driven experiments both reduce to the same
 question: given per-thread sets of (entry, is_write) pairs, did any two
 threads collide on an entry with at least one write? Answering it per
 sample in pure Python would dominate runtime; these kernels answer it for
-*batches* of samples at once with a sort-based sweep (the §4 protocols
-run 1000–10000 samples per data point).
+*batches* of samples at once with one row-wise sort of packed int64 keys
+(the §4 protocols run 1000–10000 samples per data point).
 
 Conflict-detection insight: under the §3/§4 protocols a conflict occurs
 *at some time* during the lock-step execution **iff** the completed
@@ -51,10 +51,15 @@ def cross_thread_conflicts(
     Notes
     -----
     A run of equal entries conflicts unless it is single-threaded or
-    all-read. Runs never span samples because each sample's entries are
-    offset into a disjoint key range, so one global sort + ``reduceat``
-    over run boundaries resolves every sample at once — no Python-level
-    loop over samples.
+    all-read. Each sample's row is sorted as packed
+    ``entry << (tbits + 1) | thread << 1 | write`` int64 keys, so in
+    every run the first key holds the smallest thread and the last key
+    the largest. Only runs of two or more keys can conflict; they are
+    found from adjacent equal-entry pairs, and a run's write count is a
+    difference of one ``cumsum`` over its pairs: no global ``argsort``,
+    no ``reduceat`` and no Python-level loop over samples. Entries and
+    threads too wide to pack into 63 bits are first relabelled to their
+    dense ranks, which keeps every verdict.
     """
     entries = np.asarray(entries, dtype=np.int64)
     is_write = np.asarray(is_write, dtype=bool)
@@ -68,34 +73,44 @@ def cross_thread_conflicts(
             f"thread_of must have shape ({entries.shape[1]},), got {thread_of.shape}"
         )
     samples, accesses = entries.shape
-    if accesses == 0:
+    if entries.size == 0:
         return np.zeros(samples, dtype=bool)
-    if np.any(entries < 0):
+    if entries.min() < 0:
         raise ValueError("entries must be non-negative table indices")
 
-    stride = np.int64(int(entries.max()) + 1)
-    keys = (entries + stride * np.arange(samples, dtype=np.int64)[:, None]).ravel()
-    writes = is_write.ravel()
-    threads = np.broadcast_to(thread_of, entries.shape).ravel()
+    low = int(thread_of.min())
+    tbits = (int(thread_of.max()) - low).bit_length()
+    if int(entries.max()).bit_length() + tbits > 62:
+        _, threads = np.unique(thread_of, return_inverse=True)
+        tbits = int(threads.max()).bit_length()
+        entries = np.unique(entries, return_inverse=True)[1].reshape(samples, accesses)
+    else:
+        threads = thread_of - low
+    shift = tbits + 1
+    keys = entries << shift
+    keys |= threads << 1
+    keys |= is_write
+    keys.sort(axis=1)
 
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    writes = writes[order]
-    threads = threads[order]
-
-    run_start = np.empty(keys.shape, dtype=bool)
-    run_start[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    boundaries = np.flatnonzero(run_start)
-
-    any_write = np.maximum.reduceat(writes.astype(np.int8), boundaries) > 0
-    tmin = np.minimum.reduceat(threads, boundaries)
-    tmax = np.maximum.reduceat(threads, boundaries)
-    conflicting_run = any_write & (tmin != tmax)
-
-    sample_of_run = keys[boundaries] // stride
+    # Only runs of two or more keys can conflict: find the adjacent pairs
+    # of one entry (within one sample) and work on those alone.
+    flat = keys.ravel()
+    same = (flat[1:] ^ flat[:-1]) < (1 << shift)
+    same[accesses - 1 :: accesses] = False  # runs never span samples
+    pair = np.flatnonzero(same)
+    head = np.ones(len(pair), dtype=bool)
+    np.not_equal(pair[1:], pair[:-1] + 1, out=head[1:])
+    tail = np.ones(len(pair), dtype=bool)
+    tail[:-1] = head[1:]
+    first, last = pair[head], pair[tail] + 1
+    writes = (flat[pair] | flat[pair + 1]) & 1
+    counts = np.cumsum(writes)
+    any_write = counts[tail] - counts[head] + writes[head] > 0
+    # One entry at both ends, so the keys differ above the write bit iff
+    # the threads do.
+    conflicting = any_write & ((flat[first] ^ flat[last]) > 1)
     out = np.zeros(samples, dtype=bool)
-    out[sample_of_run[conflicting_run]] = True
+    out[first[conflicting] // accesses] = True
     return out
 
 

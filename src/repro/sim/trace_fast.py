@@ -24,16 +24,23 @@ several small-array ``np.unique`` passes plus a Python assembly loop per
    vectorized call; unequal lengths interleave different bounds — whose
    rejection sampling consumes a variable number of words per draw — and
    stay scalar.
-2. Per distinct stream, the cutoff of every *unique* drawn offset (the
-   position of its W-th distinct written block) is found either by an
-   O(L) two-pointer sweep over the wrapped stream (dense offsets) or by
-   a vectorized batched-doubling scan (sparse offsets). Both exploit
-   that a window never needs more than one full cycle: one cycle visits
-   every position, hence every distinct written block.
+2. Per distinct stream, the written blocks get dense ids (one
+   ``np.unique``, which also checks that W is reachable), and the
+   cutoff of every *unique* drawn offset (the position of its W-th
+   distinct written block) is found either by an O(L) two-pointer
+   sweep over the wrapped stream (dense offsets) or by a vectorized
+   batched-doubling scan (sparse offsets). The scan sorts each window
+   row of packed ``id << shift | column`` int64 keys, keeps the head of
+   each block's group (its first write) and takes the W-th smallest
+   head column with ``np.partition``. Both exploit that a window never
+   needs more than one full cycle: one cycle visits every position,
+   hence every distinct written block.
 3. The whole stream is hashed in one array call — every hash kind is
    elementwise — and each unique window is compacted to its sorted
    distinct table entries with write-dominated flags, stored as padded
-   ``(U, width)`` matrices.
+   ``(U, width)`` matrices. One in-place sort of packed
+   ``row << shift | entry << 1 | write`` keys per chunk does it: the
+   last key of each (row, entry) group carries the write-dominated flag.
 4. Every batch is then pure fancy-indexing into those matrices plus one
    batched :func:`~repro.sim.montecarlo.cross_thread_conflicts` call.
 
@@ -104,9 +111,15 @@ class _WindowIndex:
         (what a tagged table sees): conflict verdicts only compare labels
         for equality.
         """
-        ext_writes = np.concatenate([self.is_write, self.is_write])
+        if pad.bit_length() + _SCRATCH_ELEMS.bit_length() > 62:
+            # Too wide for the packed (row, label, write) key: compact
+            # the labels' dense ranks and map the rows back.
+            distinct, ranks = np.unique(labels, return_inverse=True)
+            fp = self.footprints(ranks, len(distinct))
+            return _Footprints(np.append(distinct, pad)[fp.labels], fp.writes, fp.counts)
+        packed = (labels << 1) | self.is_write
         return _compact_footprints(
-            np.concatenate([labels, labels]), ext_writes, self.offsets, self.win_lens, pad
+            np.concatenate([packed, packed]), self.offsets, self.win_lens, pad
         )
 
 
@@ -123,30 +136,21 @@ def _draw_starts(rng: np.random.Generator, lengths: list[int], samples: int) -> 
     return starts
 
 
-def _check_reachable(blocks: np.ndarray, is_write: np.ndarray, w: int) -> None:
-    """Raise the reference's "cannot reach W" error for a deficient stream."""
-    distinct = len(np.unique(blocks[is_write]))
-    if distinct < w:
-        raise ValueError(
-            f"stream has only {distinct} distinct written blocks; cannot reach W={w}"
-        )
-
-
 def _window_lengths_dense(
-    blocks: np.ndarray, is_write: np.ndarray, offsets: np.ndarray, w: int
+    ids: np.ndarray, is_write: np.ndarray, offsets: np.ndarray, w: int
 ) -> np.ndarray:
     """Two-pointer sweep: window length of each offset in O(L) total.
 
+    ``ids`` are dense written-block ids (read positions are ignored).
     The cutoff position is monotone non-decreasing in the start offset
     (dropping the first position can only move a block's first write
     later), so the end pointer never retreats while the start pointer
     advances over the sorted offsets.
     """
-    n = len(blocks)
-    _, inverse = np.unique(blocks, return_inverse=True)
-    binv = inverse.tolist()
+    n = len(ids)
+    binv = ids.tolist()
     isw = is_write.tolist()
-    cnt = [0] * (int(inverse.max()) + 1)
+    cnt = [0] * (int(ids.max()) + 1)
     offs = offsets.tolist()
     out = np.empty(len(offs), dtype=np.int64)
     oi = 0
@@ -174,45 +178,26 @@ def _window_lengths_dense(
     return out
 
 
-def _scan_span(
-    ext_blocks: np.ndarray,
-    ext_writes: np.ndarray,
-    span_offsets: np.ndarray,
-    span: int,
-    w: int,
-    out: np.ndarray,
-    out_rows: np.ndarray,
-) -> np.ndarray:
-    """One vectorized span pass; returns which rows found their cutoff."""
-    idx = span_offsets[:, None] + np.arange(span)
-    blk = ext_blocks[idx]
-    wrt = ext_writes[idx]
-    rows, cols = np.nonzero(wrt)
-    vals = blk[rows, cols]
-    # Sort by (row, block, position): the head of each (row, block) group
-    # is that block's first write in the window.
-    order = np.lexsort((cols, vals, rows))
-    r, v, c = rows[order], vals[order], cols[order]
-    first = np.ones(len(r), dtype=bool)
-    first[1:] = (r[1:] != r[:-1]) | (v[1:] != v[:-1])
-    fr, fc = r[first], c[first]
-    # Re-sort first-write positions by (row, position); the (w-1)-ranked
-    # position per row is the cutoff.
-    order = np.lexsort((fc, fr))
-    fr, fc = fr[order], fc[order]
-    row_start = np.ones(len(fr), dtype=bool)
-    row_start[1:] = fr[1:] != fr[:-1]
-    pos = np.arange(len(fr))
-    rank = pos - pos[row_start][np.cumsum(row_start) - 1]
-    hit = rank == w - 1
-    out[out_rows[fr[hit]]] = fc[hit] + 1
-    finished = np.zeros(len(span_offsets), dtype=bool)
-    finished[fr[hit]] = True
-    return finished
+def _scan_span(keys: np.ndarray, shift: int, w: int) -> np.ndarray:
+    """Cutoff column of each window row; ``>= span`` where it is not reached.
+
+    ``keys`` is ``(rows, span)``: a write of dense block ``b`` at column
+    ``col`` keys as ``b << shift | col`` and a read as the int64 maximum
+    (``span < 1 << shift``).  Sorting each row puts every block's first
+    write at the head of its group; the ``w``-th smallest head column is
+    the cutoff.  Non-heads and the read group rank as ``(1 << shift) - 1``.
+    """
+    mask = (1 << shift) - 1
+    keys |= np.arange(keys.shape[1])
+    keys.sort(axis=1)
+    head = np.ones(keys.shape, dtype=bool)
+    np.greater(keys[:, 1:] ^ keys[:, :-1], mask, out=head[:, 1:])
+    first = np.where(head, keys & mask, mask)
+    return np.partition(first, w - 1, axis=1)[:, w - 1]
 
 
 def _window_lengths_sparse(
-    ext_blocks: np.ndarray,
+    ext_ids: np.ndarray,
     ext_writes: np.ndarray,
     offsets: np.ndarray,
     w: int,
@@ -223,13 +208,16 @@ def _window_lengths_sparse(
     pending = np.arange(len(offsets))
     span = min(max(64, 8 * w), n)
     while len(pending):
+        shift = span.bit_length()
+        keyed = np.where(ext_writes, ext_ids << shift, np.iinfo(np.int64).max)
+        windows = np.lib.stride_tricks.sliding_window_view(keyed, span)
         rows_per = max(1, _SCRATCH_ELEMS // span)
         leftovers = []
         for lo in range(0, len(pending), rows_per):
             part = pending[lo : lo + rows_per]
-            finished = _scan_span(
-                ext_blocks, ext_writes, offsets[part], span, w, out, part
-            )
+            cut = _scan_span(windows[offsets[part]], shift, w)
+            finished = cut < span
+            out[part[finished]] = cut[finished] + 1
             if not finished.all():
                 leftovers.append(part[~finished])
         if not leftovers:
@@ -244,54 +232,48 @@ def _window_lengths_sparse(
 
 
 def _compact_footprints(
-    ext_entries: np.ndarray,
-    ext_writes: np.ndarray,
+    ext_packed: np.ndarray,
     offsets: np.ndarray,
     win_lens: np.ndarray,
     pad: int,
 ) -> _Footprints:
     """Distinct-entry footprint of every window as padded matrices.
 
-    Row i holds window i's sorted distinct entries (all < ``pad``) with
-    write-dominated flags, padded to the widest row with the read-only
-    entry ``pad``, which can never conflict.
+    ``ext_packed`` holds each access of the doubled stream as
+    ``entry << 1 | write``.  Row i holds window i's sorted distinct
+    entries (all < ``pad``) with write-dominated flags, padded to the
+    widest row with the read-only entry ``pad``, which can never
+    conflict.
 
     Windows are flattened back-to-back into ragged arrays (no padding to
     the longest window, whose outliers would dominate) and deduplicated
-    with one argsort of the combined ``row * stride + entry`` key per
-    chunk; rows never straddle a chunk.
+    with one in-place sort of the packed ``row << shift | entry << 1 |
+    write`` key per chunk: the last key of each (row, entry) group
+    carries its write-dominated flag.  Rows never straddle a chunk.
     """
     u = len(offsets)
     counts = np.zeros(u, dtype=np.int64)
     pieces: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     ends = np.cumsum(win_lens)
-    stride = pad + 1  # entries are < pad; headroom for safety
+    shift = pad.bit_length() + 1
     lo = 0
     while lo < u:
         hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + _SCRATCH_ELEMS)))
         lens = win_lens[lo:hi]
-        total = int(lens.sum())
-        row_id = np.repeat(np.arange(hi - lo, dtype=np.int64), lens)
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-        src = np.repeat(offsets[lo:hi], lens) + within
-        key = row_id * stride + ext_entries[src]
-        order = np.argsort(key)
-        k_s = key[order]
-        w_s = ext_writes[src][order]
-        first = np.ones(total, dtype=bool)
-        first[1:] = k_s[1:] != k_s[:-1]
-        bounds = np.flatnonzero(first)
-        grp_write = np.maximum.reduceat(w_s.astype(np.int8), bounds).astype(bool)
-        grp_key = k_s[bounds]
-        grp_row = grp_key // stride
-        grp_val = grp_key - grp_row * stride
-        counts[lo:hi] = np.bincount(grp_row, minlength=hi - lo)
-        row_start = np.ones(len(grp_row), dtype=bool)
-        row_start[1:] = grp_row[1:] != grp_row[:-1]
-        pos = np.arange(len(grp_row))
-        rank = pos - pos[row_start][np.cumsum(row_start) - 1]
-        pieces.append((lo + grp_row, rank, grp_val, grp_write))
+        starts = np.cumsum(lens) - lens
+        src = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(offsets[lo:hi] - starts, lens)
+        key = ext_packed[src]
+        key |= np.repeat(np.arange(hi - lo, dtype=np.int64) << shift, lens)
+        key.sort()
+        last = np.ones(len(key), dtype=bool)
+        np.greater(key[1:] ^ key[:-1], 1, out=last[:-1])
+        grp = np.compress(last, key)  # faster than a boolean-mask index
+        grp_row = grp >> shift
+        grp_counts = np.bincount(grp_row, minlength=hi - lo)
+        counts[lo:hi] = grp_counts
+        rank = np.arange(len(grp)) - (np.cumsum(grp_counts) - grp_counts)[grp_row]
+        vals = (grp >> 1) & ((1 << (shift - 1)) - 1)
+        pieces.append((lo + grp_row, rank, vals, (grp & 1).astype(bool)))
         lo = hi
     width = int(counts.max())
     entries = np.full((u, width), pad, dtype=np.int64)
@@ -307,24 +289,33 @@ def _window_index(
 ) -> _WindowIndex:
     """Cut the window reaching ``w`` distinct writes at every drawn offset.
 
-    The stream must hold ``w`` distinct written blocks
-    (:func:`_check_reachable`).  Few offsets take the vectorized
-    doubling scan; offsets dense enough to cover the stream take the
-    O(L) two-pointer sweep.
+    Raises the reference's "cannot reach W" error for a stream with
+    fewer than ``w`` distinct written blocks.  Both scans work on dense
+    ids of the written blocks, whatever the block values.  Few offsets
+    take the vectorized doubling scan; offsets dense enough to cover the
+    stream take the O(L) two-pointer sweep.
     """
+    written_at = np.flatnonzero(is_write)
+    written, dense = np.unique(blocks[written_at], return_inverse=True)
+    if len(written) < w:
+        raise ValueError(
+            f"stream has only {len(written)} distinct written blocks; cannot reach W={w}"
+        )
     n = len(blocks)
+    ids = np.zeros(n, dtype=np.int64)
+    ids[written_at] = dense
     if len(offsets) * max(64, 8 * w) <= 8 * n:
         # Doubled arrays make every wrapped window a contiguous slice: a
         # window never exceeds one full cycle of the stream.
         win_lens = _window_lengths_sparse(
-            np.concatenate([blocks, blocks]),
+            np.concatenate([ids, ids]),
             np.concatenate([is_write, is_write]),
             offsets,
             w,
             n,
         )
     else:
-        win_lens = _window_lengths_dense(blocks, is_write, offsets, w)
+        win_lens = _window_lengths_dense(ids, is_write, offsets, w)
     return _WindowIndex(is_write, offsets, win_lens)
 
 
@@ -392,7 +383,6 @@ def simulate_trace_aliasing_fast(
             continue
         cols = [u for u in range(c) if slot_tid[u] == tid]
         stream = streams[t]
-        _check_reachable(stream.blocks, stream.is_write, cfg.write_footprint)
         ix = _window_index(
             stream.blocks, stream.is_write, np.unique(starts[:, cols]), cfg.write_footprint
         )

@@ -338,6 +338,22 @@ class TestBatchModelEndpoints:
         assert status == 400
         assert repr(field) in data["error"]
 
+    @pytest.mark.parametrize(
+        ("text", "n"),
+        [(str(2**53 + 1), 2**53 + 1), (str(10**300), 10**300), ("1e300", 1e300)],
+        ids=["2**53+1", "10**300", "1e300"],
+    )
+    def test_get_equals_post_element_for_wide_integers(self, service, text, n):
+        # Integers above 2**53 must not round through a float on the GET.
+        _, client = service
+        status, scalar, _ = client.get(f"/v1/model/conflict?w=1&n={text}")
+        assert status == 200
+        status, batch, _ = client.post("/v1/model/conflict", {"w": [1], "n": [n]})
+        assert status == 200
+        assert list(scalar) == [key for key in batch if key != "count"]
+        for key, value in scalar.items():
+            assert json.dumps(value) == json.dumps(batch[key][0]), key
+
     def test_batch_point_cap_400(self, service):
         _, client = service
         status, data, _ = client.post(
