@@ -32,9 +32,11 @@ variability.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import partial
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -125,6 +127,66 @@ class BenchmarkProfile:
             raise ValueError(f"instr_per_access must be >= 1, got {self.instr_per_access}")
 
 
+#: the smallest double above INT64_MAX, where numpy clamps an inverted
+#: geometric draw
+_INT64_LIMIT = 9.223372036854776e18
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """``rng.geometric(p, size=size)``: the same values and the same generator state.
+
+    Below ``p = 1/3`` numpy draws each value as ``ceil(-E / log1p(-p))``
+    from one ziggurat ``standard_exponential`` draw ``E``, clamped to
+    INT64_MAX from :data:`_INT64_LIMIT` up; one vector exponential draw
+    inverted in place costs half as much.  From ``1/3`` up numpy searches,
+    and so does this (pinned in tests/sim/test_trace_fast.py).
+    """
+    if p >= 1 / 3:
+        return rng.geometric(p, size=size)
+    z = rng.standard_exponential(size)
+    z /= -math.log1p(-p)
+    np.ceil(z, out=z)
+    big = z >= _INT64_LIMIT
+    if big.any():
+        z[big] = 0.0
+    out = z.astype(np.int64)
+    out[big] = _INT64_MAX
+    return out
+
+
+def _scalar_draws(rng: np.random.Generator) -> tuple[Callable[[], float], Callable[[int], int]]:
+    """``(random, below)``: ``rng.random()`` and ``int(rng.integers(0, n))`` from raw bits.
+
+    Both read the bit generator through its ctypes interface, a quarter
+    of the cost of a scalar numpy call for ``integers``.  ``random`` is
+    the generator's ``next_double``, which ``rng.random()`` returns as
+    is.  ``below(n)`` is numpy's Lemire draw for ``2 <= n < 2**32``: one
+    ``next_uint32`` scaled by ``n``, redrawn while the low word is below
+    ``(2**32 - n) % n``; the 32-bit carry lives in the bit generator's
+    state, so raw and numpy draws interleave exactly.  ``n == 1`` draws
+    nothing, and ``n >= 2**32`` defers to ``rng.integers``.  The caller
+    must own ``rng``: these calls skip numpy's lock.  Pinned in
+    tests/sim/test_trace_fast.py.
+    """
+    bits = rng.bit_generator.ctypes
+    next_uint32, state = bits.next_uint32, bits.state
+
+    def below(n: int) -> int:
+        if n >= 1 << 32:
+            return int(rng.integers(0, n))
+        if n == 1:
+            return 0
+        m = next_uint32(state) * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = ((1 << 32) - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = next_uint32(state) * n
+        return m >> 32
+
+    return partial(bits.next_double, state), below
+
+
 def _layout_new_blocks(
     profile: BenchmarkProfile, n_new: int, rng: np.random.Generator, base: int
 ) -> np.ndarray:
@@ -143,16 +205,19 @@ def _layout_new_blocks(
     # ``bisect_right(cdf, rng.random())`` consumes the generator exactly
     # as that call does, and ``strides[rng.integers(0, k)]`` exactly as
     # ``rng.choice(strides)`` (both pinned in tests/sim/test_trace_fast.py).
+    # ``random`` and ``below`` make those scalar draws from raw bits.
     cdf = fracs.cumsum()
     cdf /= cdf[-1]
     cdf = cdf.tolist()
     strides = profile.strides
+    span = profile.span
     p_length = 1.0 / profile.burst_length
-    random, integers, geometric = rng.random, rng.integers, rng.geometric
+    random, below = _scalar_draws(rng)
+    geometric = rng.geometric
 
     #: the page-aligned hot-set stride (8 KB in 64 B blocks)
     hot_stride = 128
-    hot_base = base + profile.span + int(integers(0, profile.span))
+    hot_base = base + span + below(span)
     hot_count = 0
 
     # Burst i covers starts[i] + steps[i] * arange(lengths[i]).
@@ -166,11 +231,11 @@ def _layout_new_blocks(
             start, step, length = hot_base + hot_stride * hot_count, 0, 1
             hot_count += 1
         elif kind == 2:  # random singleton
-            start, step, length = base + int(integers(0, profile.span)), 0, 1
+            start, step, length = base + below(span), 0, 1
         else:
             length = min(n_new - produced, 1 + int(geometric(p_length)))
-            start = base + int(integers(0, profile.span))
-            step = 1 if kind == 0 else strides[int(integers(0, len(strides)))]
+            start = base + below(span)
+            step = 1 if kind == 0 else strides[below(len(strides))]
         starts.append(start)
         steps.append(step)
         lengths.append(length)
@@ -187,47 +252,68 @@ def _layout_new_blocks(
     if len(seen) < n_new:
         dup_mask = np.ones(n_new, dtype=bool)
         dup_mask[first_idx] = False
-        n_dup = int(dup_mask.sum())
-        taken = set(seen.tolist())
-        fresh = []
+        n_dup = n_new - len(seen)
+        laid = seen.tolist()  # sorted: a membership test is a bisect
+        fresh: dict[int, None] = {}  # insertion-ordered
         while len(fresh) < n_dup:
-            candidate = base + int(integers(0, profile.span))
-            if candidate not in taken:
-                taken.add(candidate)
-                fresh.append(candidate)
-        out[dup_mask] = np.array(fresh, dtype=np.int64)
+            candidate = base + below(span)
+            at = bisect_left(laid, candidate)
+            if (at == len(laid) or laid[at] != candidate) and candidate not in fresh:
+                fresh[candidate] = None
+        out[dup_mask] = np.fromiter(fresh, dtype=np.int64, count=n_dup)
     return out
 
 
 def _synthesize_layout(
     profile: BenchmarkProfile, n_accesses: int, rng: np.random.Generator, base: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage 1 of :func:`synthesize_trace`: every draw whose count depends on ``n``.
 
-    Returns each access's block and whether that block is writable.
-    These draws stay full length: they fix the generator position of
-    everything after them, and the layout's duplicate fix checks each
-    fresh address against every laid-out block.
+    Returns ``(new_blocks, writable, alloc_of)``: the laid-out blocks and
+    their writable classes in allocation order, and for each access the
+    allocation it touches.  All draws stay full length: new-block flags,
+    the layout, writable classes, reuse offsets and the too-old fold fix
+    the generator position of everything after them, and the layout's
+    duplicate fix checks each fresh address against every laid-out block.
+    The per-access gather is left to :func:`_gather_layout`, so a caller
+    that reads a prefix gathers only that prefix.
     """
     is_new = rng.random(n_accesses) < profile.new_block_rate
     is_new[0] = True  # the first access necessarily touches a new block
-    n_new = int(is_new.sum())
+    n_new = int(np.count_nonzero(is_new))
 
     new_blocks = _layout_new_blocks(profile, n_new, rng, base)
     writable = rng.random(n_new) < profile.writable_fraction
 
     # alloc_of[i] = index (into allocation order) of the block access i
     # touches. New accesses touch their own allocation; reuse accesses
-    # pick a recency-biased earlier allocation.
-    alloc_seq = np.cumsum(is_new) - 1  # allocation index available at access i
-    offsets = rng.geometric(profile.reuse_recency, size=n_accesses) - 1
-    reuse_target = alloc_seq - offsets
+    # pick a recency-biased earlier allocation, allocated[i] - g for a
+    # geometric g >= 1 (g = 1 is the newest).
+    allocated = is_new.astype(np.int64)  # allocations up to access i
+    np.cumsum(allocated, out=allocated)  # in place: 3x faster than from bool
+    alloc_of = _geometric(rng, profile.reuse_recency, n_accesses)
+    np.subtract(allocated, alloc_of, out=alloc_of)
     # Fold out-of-range (too-old) targets back uniformly over history.
-    neg = reuse_target < 0
-    if np.any(neg):
-        reuse_target[neg] = (rng.random(int(neg.sum())) * (alloc_seq[neg] + 1)).astype(np.int64)
-    alloc_of = np.where(is_new, alloc_seq, reuse_target)
-    return new_blocks[alloc_of], writable[alloc_of]
+    # ``neg`` spans every access, new ones too: its length is a draw count.
+    neg = np.flatnonzero(alloc_of < 0)
+    alloc_of[neg] = (rng.random(len(neg)) * allocated[neg]).astype(np.int64)
+    alloc_of[np.flatnonzero(is_new)] = np.arange(n_new)  # the k-th new access is allocation k
+    return new_blocks, writable, alloc_of
+
+
+def _gather_layout(
+    layout: tuple[np.ndarray, np.ndarray, np.ndarray],
+    lo: int,
+    hi: int,
+    blocks: np.ndarray,
+    writable_of: np.ndarray,
+) -> None:
+    """Fill ``blocks[lo:hi]`` and ``writable_of[lo:hi]`` from a stage-1 layout."""
+    new_blocks, writable, alloc_of = layout
+    # Every index is in range, so ``clip`` changes nothing; unlike the
+    # default ``raise`` it writes into ``out`` without a bounce buffer.
+    np.take(new_blocks, alloc_of[lo:hi], out=blocks[lo:hi], mode="clip")
+    np.take(writable, alloc_of[lo:hi], out=writable_of[lo:hi], mode="clip")
 
 
 def _draw_tail(
@@ -249,7 +335,7 @@ def _draw_tail(
     """
     is_write[lo:hi] = writable_of[lo:hi] & (flags_rng.random(hi - lo) < profile.write_prob)
     p = min(1.0, 1.0 / profile.instr_per_access)
-    np.cumsum(gaps_rng.geometric(p, size=hi - lo), out=instr[lo:hi])
+    np.cumsum(_geometric(gaps_rng, p, hi - lo), out=instr[lo:hi])
     if lo:
         instr[lo:hi] += instr[lo - 1]
 
@@ -263,15 +349,19 @@ def synthesize_trace(
 ) -> AccessTrace:
     """Generate one trace of ``n_accesses`` accesses from ``profile``.
 
-    Fully vectorized: allocation positions, block layout, recency-biased
-    reuse targets, writable classes and instruction gaps are all drawn as
-    arrays (the Figure 3 sweep replays hundreds of these traces).
+    Allocation positions, recency-biased reuse targets, writable classes
+    and instruction gaps are drawn as arrays; the new-block layout is a
+    Python loop over bursts, about one per ``burst_length`` new blocks
+    (the Figure 3 sweep replays hundreds of these traces).
     """
     if n_accesses < 0:
         raise ValueError(f"n_accesses must be non-negative, got {n_accesses}")
     if n_accesses == 0:
         return AccessTrace(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-    blocks, writable_of = _synthesize_layout(profile, n_accesses, rng, base)
+    layout = _synthesize_layout(profile, n_accesses, rng, base)
+    blocks = np.empty(n_accesses, dtype=np.int64)
+    writable_of = np.empty(n_accesses, dtype=bool)
+    _gather_layout(layout, 0, n_accesses, blocks, writable_of)
     is_write = np.empty(n_accesses, dtype=bool)
     instr = np.empty(n_accesses, dtype=np.int64)
     _draw_tail(profile, writable_of, rng, rng, 0, n_accesses, is_write, instr)
@@ -290,7 +380,10 @@ def _trace_prefixes(
 
     ``hi`` starts at ``first``, grows ×4 and stops at ``n_accesses``; a
     consumer that stops early never pays for the rest of the per-access
-    tail.  Store flags come from ``rng`` as in :func:`synthesize_trace`;
+    work.  Stage 1's draws are full length (their counts fix the
+    generator position), but each prefix gathers its blocks and writable
+    classes for ``[lo, hi)`` only.  Store flags come from ``rng`` as in
+    :func:`synthesize_trace`;
     the gaps come from a clone moved past all ``n_accesses`` store-flag
     doubles with ``PCG64.advance`` (each ``random()`` double is exactly
     one 64-bit output), where the full draw would start them.
@@ -300,15 +393,18 @@ def _trace_prefixes(
         return
     if not isinstance(rng.bit_generator, np.random.PCG64):
         raise TypeError(f"prefix synthesis needs a PCG64 generator, got {rng.bit_generator!r}")
-    blocks, writable_of = _synthesize_layout(profile, n_accesses, rng, base)
+    layout = _synthesize_layout(profile, n_accesses, rng, base)
     gaps_bits = np.random.PCG64()
     gaps_bits.state = rng.bit_generator.state
     gaps_bits.advance(n_accesses)
     gaps_rng = np.random.Generator(gaps_bits)
+    blocks = np.empty(n_accesses, dtype=np.int64)
+    writable_of = np.empty(n_accesses, dtype=bool)
     is_write = np.empty(n_accesses, dtype=bool)
     instr = np.empty(n_accesses, dtype=np.int64)
     lo, hi = 0, min(n_accesses, first)
     while True:
+        _gather_layout(layout, lo, hi, blocks, writable_of)
         _draw_tail(profile, writable_of, rng, gaps_rng, lo, hi, is_write, instr)
         yield AccessTrace(blocks[:hi], is_write[:hi], instr[:hi])
         if hi == n_accesses:

@@ -39,6 +39,7 @@ from repro.sim.trace_driven import (
 )
 from repro.sim.trace_fast import simulate_trace_aliasing_fast
 from repro.traces.events import AccessTrace, ThreadedTrace
+from repro.traces.workloads import _geometric, _scalar_draws
 from tests.sim.engine_contract import EngineContract, registry_test_class
 
 CONTRACT = EngineContract(
@@ -288,6 +289,64 @@ class TestChoiceDraws:
             for _ in range(5):
                 assert seq[int(a.integers(0, len(seq)))] == b.choice(seq)
             assert a.random() == b.random()
+
+
+def generator_state(rng: np.random.Generator) -> dict:
+    """``rng.bit_generator.state`` with arrays as lists, comparable with ``==``."""
+
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+
+    return plain(rng.bit_generator.state)
+
+
+class TestRawDraws:
+    """The numpy properties the cheaper layout draws are built on.
+
+    ``repro.traces.workloads._geometric`` inverts one vector
+    ``standard_exponential`` draw where numpy's ``geometric`` would
+    (``p < 1/3``), and ``_scalar_draws`` makes ``rng.random()`` and
+    ``int(rng.integers(0, n))`` from the bit generator's raw
+    ``next_double``/``next_uint32`` with numpy's Lemire rejection.
+    Each must give the same values *and* leave the generator in the
+    same state, interleaved with ordinary numpy draws; a numpy upgrade
+    that changed either algorithm fails here by name, not as a golden
+    digest mismatch.
+    """
+
+    @pytest.mark.parametrize(
+        "p", [0.012, 0.05, 1 / 12, 0.3125, np.nextafter(1 / 3, 0), 1 / 3, 0.45, 1e-20]
+    )
+    def test_geometric_equals_numpy(self, p):
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in (0, 1, 1000, 4097):
+                got, want = _geometric(a, p, size), b.geometric(p, size=size)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert a.random() == b.random()
+            assert generator_state(a) == generator_state(b)
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 7, 1 << 20, 3_000_017, 2**31 + 1, 2**32 - 1, 2**32, 2**33]
+    )
+    def test_scalar_draws_equal_numpy(self, bits, n):
+        for seed in range(20):
+            a, b = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+            random, below = _scalar_draws(a)
+            for step in range(30):
+                assert below(n) == int(b.integers(0, n))
+                if step % 3 == 0:
+                    assert random() == b.random()
+                elif step % 3 == 1:
+                    assert a.random() == b.random()
+                else:
+                    assert a.geometric(0.1) == b.geometric(0.1)
+            # An odd count of 32-bit draws leaves a buffered half behind.
+            assert generator_state(a) == generator_state(b)
 
 
 TestRegistryContract = registry_test_class(

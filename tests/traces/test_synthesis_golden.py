@@ -6,11 +6,18 @@ digests below cover ``blocks``, ``is_write`` and ``instr`` (with their
 dtypes) of one 250k-access trace per SPEC2000 profile, of a
 layout-correlated SPECJBB-like trace, and of that trace after
 true-conflict removal.
+
+Every SPEC2000 profile has three strides and a power-of-two ``span``, and
+draws from PCG64, so ``VARIANT_DIGESTS`` also pins the layout draws
+those miss: a single stride (a one-way pick draws nothing), spans that
+are not a power of two (the bounded draw can reject) and at least 2**32
+(the 64-bit draw), and a Philox generator.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +40,13 @@ SPEC_DIGESTS = {
     "twolf": "bde4c0d621874785822412c7926b107304b60093f92719eb7bb258a2f2362f46",
     "vortex": "085fb84027d353eee523d55da24f0973ef31b0a48db91a85b2eb56bdaafaf7fe",
     "vpr": "3aee5d8198dc6d12430f72284aef47f149276a9d24bd8a975b50c9b944461aab",
+}
+
+VARIANT_DIGESTS = {
+    "one-stride": "7100f72165e448da004e9192351e59b099ba649e915b3be8ef58bf064797059b",
+    "odd-span": "dc9b89b527424a91f39e7358aa147c52510b115c2bf78081863fe001e28e992f",
+    "wide-span": "d3cbd5825c8dcc72e7b21260b68813f30b1704a221ff1d4a2c4db50dec22842b",
+    "philox": "606a7729520d7606d7daf659a3334a8eb0c933901367a4576f6750b90f592a6a",
 }
 
 SPECJBB_DIGESTS = [
@@ -67,6 +81,26 @@ def test_synthesize_trace_pinned(name):
     rng = stream_rng(11, "golden-synth", bench=name)
     trace = synthesize_trace(SPEC2000_PROFILES[name], 250_000, rng, base=1 << 30)
     assert digest(trace) == SPEC_DIGESTS[name]
+
+
+def variant(key: str) -> tuple:
+    """``(profile, rng)`` of one ``VARIANT_DIGESTS`` trace."""
+    spec = SPEC2000_PROFILES
+    if key == "philox":
+        return spec["vpr"], np.random.Generator(np.random.Philox(3))
+    profile = {
+        "one-stride": replace(spec["gcc"], strides=(5,)),
+        "odd-span": replace(spec["mcf"], span=3_000_017),
+        "wide-span": replace(spec["twolf"], span=1 << 33),
+    }[key]
+    return profile, stream_rng(11, "golden-synth", bench=key)
+
+
+@pytest.mark.parametrize("key", sorted(VARIANT_DIGESTS))
+def test_layout_draw_variants_pinned(key):
+    profile, rng = variant(key)
+    trace = synthesize_trace(profile, 250_000, rng, base=1 << 30)
+    assert digest(trace) == VARIANT_DIGESTS[key]
 
 
 def test_specjbb_like_and_dedup_pinned():
