@@ -32,7 +32,6 @@ from repro.analysis.tables import format_series, format_table
 from repro.core.model import ModelParams, conflict_likelihood_product_form
 from repro.core.sizing import concurrency_scaling_factor, table_entries_for_commit_probability
 from repro.sim.catalog import SWEEP_KINDS
-from repro.sim.engines import CLOSED_ENGINES, DEFAULT_CLOSED_ENGINE
 from repro.sim.sweep import SweepResult
 from repro.sim.throughput import throughput_curve
 
@@ -60,15 +59,10 @@ class ReportConfig:
     seed: int = 20070609
     jobs: Optional[int] = None
     cluster: Optional[int] = None
-    engine: str = DEFAULT_CLOSED_ENGINE
 
     def __post_init__(self) -> None:
         if self.quality not in _QUALITY:
             raise ValueError(f"quality must be one of {sorted(_QUALITY)}, got {self.quality!r}")
-        if self.engine not in CLOSED_ENGINES:
-            raise ValueError(
-                f"engine must be one of {sorted(CLOSED_ENGINES)}, got {self.engine!r}"
-            )
         if self.jobs is not None and self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.cluster is not None and self.cluster < 1:
@@ -189,7 +183,6 @@ def _section_closed(out: io.StringIO, cfg: ReportConfig, run: _SweepRunner) -> N
             "n_values": [1024, 16384],
             "c_values": [2, 8],
             "w_values": [10],
-            "engine": cfg.engine,
         },
         cfg.seed,
     )

@@ -6,7 +6,7 @@
     python -m repro fig2a --samples 500
     python -m repro fig3 --traces 5
     python -m repro fig4a --samples 2000
-    python -m repro fig5 --c 2 --engine fast
+    python -m repro fig5 --c 2
     python -m repro fig7 --rounds 60 --placement slab
     python -m repro placement --samples 400 --w 8
     python -m repro closed --n 4096 --c 4 --w 10
@@ -26,10 +26,10 @@ asserts on, with explicit seeds, so results can be pasted into reports.
 ``cluster`` distributes one sweep across worker processes — possibly on
 other machines — via :mod:`repro.cluster`; sweep subcommands also take
 ``--cluster N`` to fan out over N in-process workers directly.
-Every sweep subcommand (``fig2a``/``fig3``/``fig4a``/``fig5``/
-``closed``/``report``) takes ``--engine reference|fast`` to pick the
-simulator implementation for its kind; engines are byte-identical, so
-the flag only changes wall-clock.  The figure subcommands resolve
+Every sweep runs the fast engine of its kind; the reference engines are
+byte-identical oracles for the differential tests and the speedup
+benchmarks, so no subcommand takes an engine flag (see
+:mod:`repro.sim.engines`).  The figure subcommands resolve
 through the same declarative sweep-kind table
 (:data:`repro.sim.catalog.SWEEP_KINDS`) the service and cluster use, so
 all three surfaces run the very same point functions.  ``experiments
@@ -50,7 +50,6 @@ from repro.core.model import ModelParams, conflict_likelihood, conflict_likeliho
 from repro.core.sizing import table_entries_for_commit_probability
 from repro.sim.catalog import SWEEP_KINDS
 from repro.sim.closed_system import ClosedSystemConfig
-from repro.sim.engines import _KIND_DISPLAY, DEFAULT_ENGINES, available_engines
 
 __all__ = ["main", "build_parser", "version_string"]
 
@@ -103,19 +102,6 @@ def _add_cluster_flag(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="distribute the sweep over N in-process cluster workers (default: off)",
-    )
-
-
-def _add_engine_flag(parser: argparse.ArgumentParser, kind: str = "closed") -> None:
-    """``--engine``: per-kind engine selection (byte-identical)."""
-    display = _KIND_DISPLAY[kind]
-    default = DEFAULT_ENGINES[kind]
-    parser.add_argument(
-        "--engine",
-        choices=available_engines(kind),
-        default=default,
-        help=f"{display} engine; results are byte-identical, engines "
-        f"differ only in speed (default {default})",
     )
 
 
@@ -175,20 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accesses", type=int, default=100_000)
     _add_jobs_flag(p)
     _add_cluster_flag(p)
-    _add_engine_flag(p, kind="trace")
 
     p = sub.add_parser("fig3", help="HTM overflow characterization (Figure 3)")
     p.add_argument("--traces", type=int, default=5, help="traces per benchmark")
     p.add_argument("--victim", type=int, default=0, help="victim-buffer entries")
     _add_jobs_flag(p)
     _add_cluster_flag(p)
-    _add_engine_flag(p, kind="overflow")
 
     p = sub.add_parser("fig4a", help="open-system conflict likelihood (Figure 4a)")
     p.add_argument("--samples", type=int, default=2000)
     _add_jobs_flag(p)
     _add_cluster_flag(p)
-    _add_engine_flag(p, kind="open")
 
     p = sub.add_parser("closed", help="one closed-system run (Figures 5-6 protocol)")
     p.add_argument("--n", type=int, required=True)
@@ -197,14 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, default=2)
     _add_jobs_flag(p)
     _add_cluster_flag(p)
-    _add_engine_flag(p)
 
     p = sub.add_parser("fig5", help="closed-system conflicts vs footprint sweep (Figure 5a)")
     p.add_argument("--c", type=int, default=2, help="concurrency C (default 2)")
     p.add_argument("--alpha", type=int, default=2, help="reads per write (default 2)")
     _add_jobs_flag(p)
     _add_cluster_flag(p)
-    _add_engine_flag(p)
 
     p = sub.add_parser(
         "placement",
@@ -241,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", type=str, default=None, help="write to file instead of stdout")
     _add_jobs_flag(p)
     _add_cluster_flag(p)
-    _add_engine_flag(p)
 
     p = sub.add_parser("birthday", help="classical birthday-paradox numbers")
     p.add_argument("--target", type=float, default=0.5, help="collision probability target")
@@ -511,7 +491,7 @@ def _cmd_fig2a(args: argparse.Namespace) -> int:
     _, out = _run_kind(
         "fig2a",
         {"samples": args.samples, "threads": args.threads,
-         "accesses": args.accesses, "engine": args.engine},
+         "accesses": args.accesses},
         args,
     )
     print(format_series("W", out["w_values"], out["series"],
@@ -522,7 +502,7 @@ def _cmd_fig2a(args: argparse.Namespace) -> int:
 def _cmd_fig3(args: argparse.Namespace) -> int:
     _, out = _run_kind(
         "fig3",
-        {"traces": args.traces, "victim": args.victim, "engine": args.engine},
+        {"traces": args.traces, "victim": args.victim},
         args,
     )
     rows = [
@@ -546,7 +526,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4a(args: argparse.Namespace) -> int:
-    _, out = _run_kind("fig4a", {"samples": args.samples, "engine": args.engine}, args)
+    _, out = _run_kind("fig4a", {"samples": args.samples}, args)
     print(format_series("W", out["w_values"], out["series"],
                         title=f"Figure 4(a): conflict likelihood (%), C=2, seed={args.seed}"))
     return 0
@@ -566,7 +546,7 @@ def _cmd_closed(args: argparse.Namespace) -> int:
     _, out = _run_kind(
         "closed",
         {"n_values": [args.n], "c_values": [args.c], "w_values": [args.w],
-         "alpha": args.alpha, "engine": args.engine},
+         "alpha": args.alpha},
         args,
     )
     r = out["points"][0]
@@ -593,15 +573,13 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
     _, out = _run_kind(
         "closed",
         {"n_values": n_values, "c_values": [args.c], "w_values": w_values,
-         "alpha": args.alpha, "engine": args.engine},
+         "alpha": args.alpha},
         args,
     )
     series = {
         f"N={n}": [float(r["conflicts"]) for r in out["points"] if r["n_entries"] == n]
         for n in n_values
     }
-    # Engine choice deliberately stays out of stdout: both engines print
-    # byte-identical tables.
     print(format_series("W", w_values, series,
                         title=f"Figure 5(a): closed-system conflicts, C={args.c}, seed={args.seed}"))
     return 0
@@ -661,7 +639,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             seed=args.seed,
             jobs=args.jobs,
             cluster=args.cluster,
-            engine=args.engine,
         )
     )
     if args.output:
@@ -707,7 +684,6 @@ def _cmd_cluster_coordinate(args: argparse.Namespace) -> int:
         CoordinatorConfig,
         CoordinatorThread,
     )
-    from repro.cluster.protocol import task_from_callable
     from repro.sim.catalog import SweepValidationError
 
     kind = SWEEP_KINDS.get(args.kind)
@@ -746,7 +722,7 @@ def _cmd_cluster_coordinate(args: argparse.Namespace) -> int:
         expected_workers=args.workers,
     )
     coordinator = Coordinator(
-        task_from_callable(kind.bind(params, args.seed)),
+        kind.task(params, args.seed),
         kind.grid(params),
         config,
         cache=cache,

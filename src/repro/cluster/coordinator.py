@@ -67,8 +67,9 @@ def chunk_cache_key(task: ClusterTask, points: Sequence[Mapping[str, Any]]) -> s
     """Content address of one chunk's outcomes.
 
     Keyed by what is computed (function, bound kwargs, label, the
-    chunk's points) and the master seed — never by run id or chunk
-    geometry — so any run covering the same points reuses them.
+    sweep kind's ``result_version``, the chunk's points) and the master
+    seed — never by run id or chunk geometry — so any run covering the
+    same points reuses them.
     :func:`repro.sim.sweep.run_grid` uses the same key for its local
     checkpoints, which is what lets a run switch between ``--jobs`` and
     ``--cluster`` and still resume from the same cache.
@@ -79,6 +80,7 @@ def chunk_cache_key(task: ClusterTask, points: Sequence[Mapping[str, Any]]) -> s
             "fn": task.fn,
             "kwargs": dict(task.kwargs),
             "label": task.label,
+            "result_version": task.result_version,
             "points": list(points),
         },
         task.seed,
@@ -698,6 +700,7 @@ def run_sweep_cluster_from_callable(
     *,
     seed: Optional[int] = None,
     label: str = "sweep-point",
+    result_version: Optional[int] = None,
     **options: Any,
 ) -> SweepResult:
     """Distribute an in-process sweep callable across local workers.
@@ -707,7 +710,8 @@ def run_sweep_cluster_from_callable(
     :func:`repro.cluster.protocol.task_from_callable`, whose
     :class:`ValueError` propagates).  Same signature spirit as
     ``run_sweep(fn, points, seed=..., label=...)``, same bytes out;
-    ``options`` are :func:`run_sweep_cluster`'s.
+    ``result_version`` goes into the chunk cache keys, and ``options``
+    are :func:`run_sweep_cluster`'s.
     """
-    task = task_from_callable(fn, seed=seed, label=label)
+    task = task_from_callable(fn, seed=seed, label=label, result_version=result_version)
     return run_sweep_cluster(task, points, **options)

@@ -110,12 +110,17 @@ class ClusterTask:
         ``run_sweep(..., seed=seed)``.
     label:
         Stream label folded into derived point seeds.
+    result_version:
+        The sweep kind's ``result_version`` (see
+        :mod:`repro.sim.catalog`), folded into the chunk cache keys only
+        — workers never pass it to the point function.
     """
 
     fn: str
     kwargs: dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
     label: str = "sweep-point"
+    result_version: Optional[int] = None
 
     def bind(self) -> Callable[..., Any]:
         """Resolve ``fn`` and bind ``kwargs``, yielding the point callable."""
@@ -129,6 +134,7 @@ class ClusterTask:
             "kwargs": dict(self.kwargs),
             "seed": self.seed,
             "label": self.label,
+            "result_version": self.result_version,
         }
 
     @classmethod
@@ -139,6 +145,7 @@ class ClusterTask:
             kwargs=dict(payload.get("kwargs") or {}),
             seed=payload.get("seed"),
             label=str(payload.get("label", "sweep-point")),
+            result_version=payload.get("result_version"),
         )
 
 
@@ -147,6 +154,7 @@ def task_from_callable(
     *,
     seed: Optional[int] = None,
     label: str = "sweep-point",
+    result_version: Optional[int] = None,
 ) -> ClusterTask:
     """Describe an in-process sweep callable as a :class:`ClusterTask`.
 
@@ -171,7 +179,9 @@ def task_from_callable(
             raise ValueError("nested partials are not supported")
     name = dotted_name(target)
     kwargs = _require_json_safe(f"kwargs of {name}", kwargs)
-    return ClusterTask(fn=name, kwargs=kwargs, seed=seed, label=label)
+    return ClusterTask(
+        fn=name, kwargs=kwargs, seed=seed, label=label, result_version=result_version
+    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 The manifest is the run's durable control state: which figures exist,
 each figure's spec hash (the content address of *what* will be
-computed), the pinned chunk geometry, which chunks have completed, and
-a fingerprint of the environment that produced it.  Results themselves
+computed), the pinned chunk geometry, which figures are done, and a
+fingerprint of the environment that produced it.  Results themselves
 live in the content-addressed :class:`~repro.service.cache.ResultCache`
 next to the manifest; the manifest is the map, the cache is the
 territory.
@@ -15,8 +15,11 @@ silently recompute everything, which is almost never what the operator
 meant), warns on an environment drift, and reuses the pinned chunk
 sizes so the chunk cache keys are identical to the interrupted run's.
 
-Saves are atomic (write to a temp file, then ``os.replace``) so a kill
-mid-save leaves the previous manifest intact.
+The runner saves it once a figure's chunking is pinned, once the
+figure is done, and at the end of the run — never per chunk: a resume
+trusts the chunk cache, not a chunk count.  Saves are atomic (write to
+a temp file, then ``os.replace``) so a kill mid-save leaves the
+previous manifest intact.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from repro.service.cache import cache_key
+from repro.sim.catalog import SWEEP_KINDS
 
 __all__ = [
     "MANIFEST_NAME",
@@ -42,27 +45,28 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 class ManifestMismatch(Exception):
     """An existing manifest disagrees with the requested run.
 
-    Raised when quality, seed or any figure's spec hash differ: the
-    chunk cache keys would not line up, so "resume" would silently be
-    a fresh run. The operator should pick a new ``--out`` dir (or
-    delete the old one) instead.
+    Raised when the manifest version, quality, seed or any figure's
+    spec hash differ: the chunk cache keys would not line up, so
+    "resume" would silently be a fresh run. The operator should pick a
+    new ``--out`` dir (or delete the old one) instead.
     """
 
 
 def spec_hash(kind: str, params: Mapping[str, Any], seed: int) -> str:
     """Content address of one figure's computation.
 
-    Derived from the normalized params and seed via the same canonical
-    JSON + SHA-256 scheme as the result cache, so two runs that would
-    compute the same figure bytes get the same hash.
+    The sweep kind's result key
+    (:meth:`~repro.sim.catalog.SweepKind.result_key`): normalized
+    params, seed and the kind's ``result_version``, so two runs that
+    would compute the same figure bytes get the same hash.
     """
-    return cache_key({"kind": kind, "params": dict(params)}, seed)
+    return SWEEP_KINDS[kind].result_key(params, seed)
 
 
 def environment_fingerprint() -> dict[str, str]:
@@ -92,8 +96,7 @@ class RunManifest:
     ``figures`` maps figure id to a JSON-safe record::
 
         {"kind": ..., "spec_hash": ..., "params": {...},
-         "chunk_size": int | None, "chunks": int | None,
-         "chunks_done": int, "done": bool}
+         "chunk_size": int | None, "chunks": int | None, "done": bool}
 
     ``chunk_size``/``chunks`` are pinned the first time the figure is
     planned and must be reused verbatim on resume — chunk cache keys
@@ -114,8 +117,8 @@ class RunManifest:
         """Register (or fetch) a figure's record, verifying its hash.
 
         Raises :class:`ManifestMismatch` if a previously planned figure
-        now hashes differently — params or seed changed under the same
-        output dir.
+        now hashes differently — params, seed or the kind's
+        ``result_version`` changed under the same output dir.
         """
         digest = spec_hash(kind, params, seed)
         record = self.figures.get(figure)
@@ -126,15 +129,14 @@ class RunManifest:
                 "params": dict(params),
                 "chunk_size": None,
                 "chunks": None,
-                "chunks_done": 0,
                 "done": False,
             }
             self.figures[figure] = record
         elif record["spec_hash"] != digest:
             raise ManifestMismatch(
                 f"figure {figure!r}: manifest spec hash {record['spec_hash']} "
-                f"!= requested {digest}; params or seed changed — use a fresh "
-                f"output dir"
+                f"!= requested {digest}; params, seed or result version "
+                f"changed — use a fresh output dir"
             )
         return record
 
@@ -151,16 +153,9 @@ class RunManifest:
             record["chunks"] = int(chunks)
         return int(record["chunk_size"])
 
-    def mark_progress(self, figure: str, chunks_done: int) -> None:
-        """Update a figure's completed-chunk count."""
-        self.figures[figure]["chunks_done"] = int(chunks_done)
-
     def mark_done(self, figure: str) -> None:
         """Mark a figure fully assembled."""
-        record = self.figures[figure]
-        record["done"] = True
-        if record["chunks"] is not None:
-            record["chunks_done"] = record["chunks"]
+        self.figures[figure]["done"] = True
 
     # -- persistence ---------------------------------------------------
 

@@ -23,8 +23,8 @@ way in every mode (keyed by
   membership churn (one injected departure, one late join) for
   elasticity tests and the CI smoke job.
 
-The runner's cache observes each chunk it settles — a hit or a store —
-to record manifest progress and to trip ``crash_after_chunks``.
+The runner's cache counts the chunks it stores to trip
+``crash_after_chunks``; the manifest is saved per figure, not per chunk.
 Because engines are deterministic and chunk keys are content-addressed,
 the same run can even switch modes between interrupt and resume and
 still reuse every finished chunk.
@@ -36,15 +36,15 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.cluster.coordinator import CoordinatorConfig, run_sweep_cluster
-from repro.cluster.protocol import chunk_grid, task_from_callable
+from repro.cluster.protocol import chunk_grid
 from repro.experiments.artifact import write_artifact
 from repro.experiments.manifest import RunManifest
 from repro.experiments.sizing import DEFAULT_TARGET_SECONDS, ChunkSizer
 from repro.experiments.specs import EXPERIMENTS, QUALITIES, ExperimentSpec
-from repro.service.cache import ResultCache, cache_key
+from repro.service.cache import ResultCache
 from repro.sim.catalog import SWEEP_KINDS
 
 __all__ = [
@@ -61,10 +61,10 @@ CACHE_DIR = "cache"
 class ExperimentInterrupted(Exception):
     """Deterministic fault injection tripped (``crash_after_chunks``).
 
-    Raised *after* the triggering chunk's result and manifest state hit
-    disk, so the interrupted run is exactly what a SIGKILL between two
-    chunks would leave behind — the shape the resume tests exercise
-    without needing a subprocess.
+    Raised *after* the triggering chunk's result hits disk (the manifest
+    was saved when the figure's chunking was pinned), so the interrupted
+    run is exactly what a SIGKILL between two chunks would leave behind
+    — the shape the resume tests exercise without needing a subprocess.
     """
 
 
@@ -212,55 +212,24 @@ def _log(message: str) -> None:
 
 
 class _CheckpointCache(ResultCache):
-    """The run's chunk cache, recording every chunk it settles.
+    """The run's chunk cache, counting the chunks it stores.
 
-    A hit on :meth:`lookup` or a :meth:`put` settles one chunk of the
-    current figure: the count goes into the manifest, which is saved,
-    and a put also counts toward ``crash_after_chunks`` — raised only
-    once that chunk and the manifest are on disk.
+    Each :meth:`put` counts toward ``crash_after_chunks``, raised only
+    once that chunk is on disk.
     """
 
-    def __init__(self, cfg: ExperimentsConfig, manifest: RunManifest) -> None:
-        self.out_dir = Path(cfg.out_dir)
-        super().__init__(disk_dir=self.out_dir / CACHE_DIR)
-        self.manifest = manifest
+    def __init__(self, cfg: ExperimentsConfig) -> None:
+        super().__init__(disk_dir=Path(cfg.out_dir) / CACHE_DIR)
         self.crash_after = cfg.crash_after_chunks
-        self.figure = ""
-        self.settled = self.computed = 0
-
-    def start(self, figure: str) -> None:
-        """Attribute the chunks settled from now on to ``figure``."""
-        self.figure, self.settled = figure, 0
-
-    def lookup(self, key: str) -> tuple[bool, Optional[Any]]:
-        hit, value = super().lookup(key)
-        if hit:
-            self._settle()
-        return hit, value
+        self.computed = 0
 
     def put(self, key: str, value: Any) -> None:
         super().put(key, value)
         self.computed += 1
-        self._settle()
         if self.crash_after is not None and self.computed >= self.crash_after:
             raise ExperimentInterrupted(
                 f"injected interrupt after {self.computed} computed chunks"
             )
-
-    def _settle(self) -> None:
-        self.settled += 1
-        self.manifest.mark_progress(self.figure, self.settled)
-        self.manifest.save(self.out_dir)
-
-
-def _model_figure_key(spec: ExperimentSpec, params: Mapping[str, Any],
-                      seed: int) -> str:
-    """Checkpoint key for a non-clusterable (single-shot) figure."""
-    return cache_key(
-        {"kind": "experiments-figure", "sweep_kind": spec.kind,
-         "params": dict(params)},
-        seed,
-    )
 
 
 def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
@@ -285,7 +254,7 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
             _log(warning)
         _log("resuming from existing manifest")
     manifest.complete = False
-    cache = _CheckpointCache(cfg, manifest)
+    cache = _CheckpointCache(cfg)
     sizer = ChunkSizer(cfg.chunk_target_seconds)
     workers = cfg.cluster if cfg.cluster is not None else (cfg.jobs or 1)
     depart_after = cfg.elastic_depart_after
@@ -301,13 +270,12 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
         manifest.plan_figure(spec.figure, spec.kind, params, cfg.seed)
         started = time.perf_counter()
         hits_before = cache.stats().hits
-        cache.start(spec.figure)
         stolen = cluster_workers = 0
         sweep = None
         if not kind.clusterable:
             n_points = chunk_size = chunks = manifest.pin_chunking(spec.figure, 1, 1)
             manifest.save(out_dir)
-            key = _model_figure_key(spec, params, cfg.seed)
+            key = kind.result_key(params, cfg.seed)
             hit, result = cache.lookup(key)
             if not hit:
                 result = kind.execute(params, cfg.seed, cfg.jobs)
@@ -328,7 +296,7 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
                 )
             else:
                 sweep = run_sweep_cluster(
-                    task_from_callable(kind.bind(params, cfg.seed)), grid,
+                    kind.task(params, cfg.seed), grid,
                     workers=cfg.cluster, jobs_per_worker=cfg.jobs or 1,
                     config=CoordinatorConfig(
                         lease_ttl=cfg.lease_ttl, chunk_size=chunk_size,

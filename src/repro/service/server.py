@@ -77,7 +77,7 @@ from repro.core.sizing import (
     table_entries_for_commit_probability_batch,
 )
 from repro.service.batching import MicroBatcher
-from repro.service.cache import ResultCache, cache_key
+from repro.service.cache import ResultCache
 from repro.service.http import (
     HTTPError,
     JsonHttpServer,
@@ -543,7 +543,7 @@ class Service(JsonHttpServer):
         kind, params, seed, jobs, execution = validate_sweep_request(body)
         # Execution mode selects how the sweep runs, never what it
         # computes — the determinism contract — so it is not in the key.
-        key = cache_key({"kind": kind, "params": params}, seed)
+        key = SWEEP_KINDS[kind].result_key(params, seed)
         request_echo = {"kind": kind, "params": params, "seed": seed}
         if execution != "local":
             request_echo["execution"] = execution

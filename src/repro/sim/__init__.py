@@ -11,14 +11,15 @@ Each engine reproduces one of the paper's measurement protocols:
   measure table occupancy / actual concurrency.
 * :mod:`repro.sim.closed_fast` — the optimized closed-system engine,
   byte-identical to the reference (same RNG stream, same order) at
-  several times the speed; select by name via :mod:`repro.sim.engines`.
+  several times the speed; every surface runs it (see
+  :mod:`repro.sim.engines`).
 * :mod:`repro.sim.trace_driven` — §2.2's study (Figure 2): the same
   conflict question driven by real-structured address streams with true
   conflicts removed.
 * :mod:`repro.sim.trace_fast` — the optimized trace-driven engine,
   byte-identical to the reference (same RNG stream, same order) via a
-  precomputed per-(stream, W, hash) window index; select by name via
-  :mod:`repro.sim.engines`.
+  precomputed per-(stream, W, hash) window index; every surface runs it
+  (see :mod:`repro.sim.engines`).
 * :mod:`repro.sim.overflow` — §2.3's characterization (Figure 3):
   HTM overflow points over the benchmark-profile fleet.
 * :mod:`repro.sim.placement` — allocator-placement sensitivity and the
@@ -37,21 +38,12 @@ from repro.sim.closed_fast import simulate_closed_system_fast
 from repro.sim.closed_system import ClosedSystemConfig, ClosedSystemResult, simulate_closed_system
 from repro.sim.engines import (
     CLOSED_ENGINES,
-    DEFAULT_CLOSED_ENGINE,
-    DEFAULT_ENGINES,
-    DEFAULT_OPEN_ENGINE,
-    DEFAULT_OVERFLOW_ENGINE,
-    DEFAULT_TRACE_ENGINE,
     ENGINES,
     OPEN_ENGINES,
     OVERFLOW_ENGINES,
     TRACE_ENGINES,
     available_engines,
     get_engine,
-    simulate_closed,
-    simulate_open,
-    simulate_overflow,
-    simulate_trace,
 )
 from repro.sim.montecarlo import (
     collision_probability_estimate,
@@ -109,11 +101,6 @@ __all__ = [
     "CLOSED_ENGINES",
     "ClosedSystemConfig",
     "ClosedSystemResult",
-    "DEFAULT_CLOSED_ENGINE",
-    "DEFAULT_ENGINES",
-    "DEFAULT_OPEN_ENGINE",
-    "DEFAULT_OVERFLOW_ENGINE",
-    "DEFAULT_TRACE_ENGINE",
     "ENGINES",
     "HybridPipelineConfig",
     "HybridPipelineResult",
@@ -151,21 +138,17 @@ __all__ = [
     "run_grid",
     "run_sweep",
     "run_sweep_parallel",
-    "simulate_closed",
     "simulate_closed_system",
     "simulate_closed_system_fast",
     "simulate_htm_overflow",
     "simulate_htm_overflow_fast",
     "simulate_hybrid_pipeline",
     "simulate_isolation_cost",
-    "simulate_open",
     "simulate_open_system",
     "simulate_open_system_heterogeneous",
-    "simulate_overflow",
     "simulate_placement_conflicts",
     "simulate_table_ab",
     "simulate_throughput",
-    "simulate_trace",
     "simulate_trace_aliasing",
     "simulate_trace_aliasing_fast",
     "sweep_grid",

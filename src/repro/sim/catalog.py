@@ -43,11 +43,21 @@ cacheable, clusterable and CLI-selectable.  The rows:
   × table size × write footprint, replaying identical placed streams so
   the table organization is the only variable.
 
-Kinds whose engine family has interchangeable engines carry an
-``engine`` parameter (a plain string, so it rides grid dicts and
-cluster kwargs unchanged); engines are byte-identical by contract, so
-the choice only changes wall-clock — and it *is* part of the cache key,
-because the normalized params are.
+The simulating kinds (``fig4a``, ``fig2a``, ``fig3``, ``closed``) always
+run the fast engine of their family: each point function resolves
+``get_engine(kind)`` at call time (see :mod:`repro.sim.engines`).  The
+reference engines are byte-identical by contract, so they live on only
+as oracles for the differential suites and the speedup benchmarks; no
+request names an engine, and one that tries gets the usual
+``unknown parameter(s)`` 400.
+
+Each row carries a ``result_version``, folded into every key that names
+the kind's outcomes — the assembled-result key (:meth:`SweepKind.result_key`,
+also the experiments manifest's spec hash) and the chunk checkpoint
+keys (:func:`repro.cluster.coordinator.chunk_cache_key`).  Bump it when
+a change alters the kind's outcome bytes, so disk caches written by
+older code miss instead of serving stale numbers.  It never reaches the
+point kwargs or the per-point seeds, so it cannot change outcomes.
 
 Grid kinds run through :meth:`SweepKind.run`: it fills a
 :class:`~repro.sim.frame.SweepFrame` via :func:`repro.sim.sweep.run_grid`,
@@ -74,19 +84,7 @@ from repro.core.model import (
 )
 from repro.ownership.hashing import available_hash_kinds, make_hash
 from repro.sim.closed_system import ClosedSystemConfig
-from repro.sim.engines import (
-    DEFAULT_CLOSED_ENGINE,
-    DEFAULT_ENGINES,
-    DEFAULT_OPEN_ENGINE,
-    DEFAULT_OVERFLOW_ENGINE,
-    DEFAULT_TRACE_ENGINE,
-    ENGINES,
-    _KIND_DISPLAY,
-    available_engines,
-    simulate_closed,
-    simulate_open,
-    simulate_trace,
-)
+from repro.sim.engines import get_engine
 from repro.sim.frame import FrameBackedSweepResult, FrameField, FrameSchema, SweepFrame
 from repro.sim.open_system import OpenSystemConfig
 from repro.sim.overflow import OverflowConfig, characterize_overflow
@@ -222,17 +220,6 @@ def _require_checked_str_list(params: Mapping[str, Any], key: str,
     return out
 
 
-def _require_engine(params: Mapping[str, Any], key: str, engine_kind: str) -> str:
-    engine = params.get(key, DEFAULT_ENGINES[engine_kind])
-    if not isinstance(engine, str) or engine not in ENGINES[engine_kind]:
-        known = ", ".join(available_engines(engine_kind))
-        raise SweepValidationError(
-            f"unknown {_KIND_DISPLAY[engine_kind]} engine {engine!r}; "
-            f"expected one of: {known}"
-        )
-    return engine
-
-
 def _reject_unknown(params: Mapping[str, Any], allowed: frozenset[str]) -> None:
     unknown = sorted(set(params) - allowed)
     if unknown:
@@ -248,9 +235,7 @@ class ParamSpec:
     ``choices``), ``"checked_str"``/``"checked_str_list"`` (each value
     is passed to ``resolve``, whose :class:`ValueError` — typically
     already listing the options, like ``make_hash``'s — becomes the
-    admission error) or ``"engine"`` (a name from the ``engine_kind``
-    family of :data:`repro.sim.engines.ENGINES`, defaulting to that
-    family's default).  A ``default`` of ``None`` on ``int``/
+    admission error).  A ``default`` of ``None`` on ``int``/
     ``int_list``/``str_choice_list``/``checked_str``/
     ``checked_str_list`` makes the parameter required.
     """
@@ -261,7 +246,6 @@ class ParamSpec:
     lo: Optional[float] = None
     hi: Optional[float] = None
     choices: Optional[tuple[str, ...]] = None
-    engine_kind: Optional[str] = None
     resolve: Optional[Callable[[str], Any]] = None
 
     def validated(self, params: Mapping[str, Any]) -> Any:
@@ -284,9 +268,6 @@ class ParamSpec:
         if self.kind == "checked_str_list":
             assert self.resolve is not None
             return _require_checked_str_list(params, self.name, self.default, self.resolve)
-        if self.kind == "engine":
-            assert self.engine_kind is not None
-            return _require_engine(params, self.name, self.engine_kind)
         raise ValueError(f"unknown ParamSpec kind {self.kind!r}")  # pragma: no cover
 
 
@@ -305,7 +286,8 @@ class SweepKind:
     there is nothing worth distributing.
 
     ``validate(params)`` returns the normalized parameter dict that is
-    both executed and folded into the cache key.  ``checks`` run against
+    both executed and folded into the cache key, together with
+    ``result_version`` (see the module docstring).  ``checks`` run against
     that dict after the schema pass, for cross-parameter rules with
     bespoke error messages (they may also coerce values in place); the
     generic grid-point ceiling runs last, over ``ceiling`` (defaulting
@@ -317,6 +299,7 @@ class SweepKind:
         name: str,
         description: str,
         *,
+        result_version: int,
         params: Sequence[ParamSpec],
         point: Optional[Callable[..., Any]] = None,
         axes: Optional[Mapping[str, str]] = None,
@@ -334,6 +317,7 @@ class SweepKind:
             )
         self.name = name
         self.description = description
+        self.result_version = result_version
         self.params = tuple(params)
         self.point = point
         self.axes = dict(axes) if axes is not None else None
@@ -397,6 +381,30 @@ class SweepKind:
         assert self.point is not None
         return partial(self.point, **self.wire_kwargs(params, seed))
 
+    def task(self, params: dict[str, Any], seed: int) -> Any:
+        """:meth:`bind` as a :class:`~repro.cluster.protocol.ClusterTask`
+        whose chunk keys carry this kind's ``result_version``."""
+        from repro.cluster.protocol import task_from_callable  # repro.cluster imports us
+
+        return task_from_callable(
+            self.bind(params, seed), result_version=self.result_version
+        )
+
+    def result_key(self, params: Mapping[str, Any], seed: int) -> str:
+        """Content address of this kind's assembled result.
+
+        The service's result-cache key and the experiments manifest's
+        spec hash: the normalized params, the seed and
+        ``result_version``.
+        """
+        from repro.service.cache import cache_key  # repro.service imports us
+
+        return cache_key(
+            {"kind": self.name, "params": dict(params),
+             "result_version": self.result_version},
+            seed,
+        )
+
     def assemble(self, params: dict[str, Any], sweep: Any) -> dict[str, Any]:
         """Fold sweep outcomes into the JSON-safe response shape."""
         assert self._assemble is not None
@@ -424,7 +432,7 @@ class SweepKind:
         sweep = run_grid(
             self.bind(params, seed), self.grid(params), jobs=jobs,
             cluster=cluster, cache=cache, chunk_size=chunk_size, frame=frame,
-            progress=progress,
+            progress=progress, result_version=self.result_version,
         )
         raise_first_failure(sweep, self.name)
         return sweep
@@ -452,14 +460,10 @@ class SweepKind:
 # JSON-safe: the exact shape task_from_callable() ships to workers.
 
 
-def _open_point(n: int, w: int, *, concurrency: int, samples: int, seed: int,
-                engine: str = DEFAULT_OPEN_ENGINE) -> float:
+def _open_point(n: int, w: int, *, concurrency: int, samples: int, seed: int) -> float:
     """One open-system grid point: conflict likelihood in percent."""
-    result = simulate_open(
-        OpenSystemConfig(n, concurrency, w, samples=samples, seed=seed),
-        engine=engine,
-    )
-    return 100 * result.conflict_probability
+    cfg = OpenSystemConfig(n, concurrency, w, samples=samples, seed=seed)
+    return 100 * get_engine("open")(cfg).conflict_probability
 
 
 @lru_cache(maxsize=4)
@@ -477,8 +481,7 @@ def _fig2a_trace(threads: int, accesses: int, seed: int):
 
 
 def _fig2a_point(n: int, w: int, *, threads: int, accesses: int, concurrency: int,
-                 samples: int, seed: int,
-                 engine: str = DEFAULT_TRACE_ENGINE) -> float:
+                 samples: int, seed: int) -> float:
     """One trace-driven grid point: alias likelihood in percent."""
     cfg = TraceAliasConfig(
         n_entries=n,
@@ -488,11 +491,11 @@ def _fig2a_point(n: int, w: int, *, threads: int, accesses: int, concurrency: in
         seed=seed,
     )
     trace = _fig2a_trace(threads, accesses, seed)
-    return 100 * simulate_trace(trace, cfg, engine=engine).alias_probability
+    return 100 * get_engine("trace")(trace, cfg).alias_probability
 
 
-def _fig3_point(bench: str, *, traces: int, accesses: int, victim: int, seed: int,
-                engine: str = DEFAULT_OVERFLOW_ENGINE) -> dict[str, Any]:
+def _fig3_point(bench: str, *, traces: int, accesses: int, victim: int,
+                seed: int) -> dict[str, Any]:
     """One Figure 3 grid point: a benchmark's overflow averages, JSON-safe."""
     from repro.traces.workloads import SPEC2000_PROFILES
 
@@ -502,7 +505,7 @@ def _fig3_point(bench: str, *, traces: int, accesses: int, victim: int, seed: in
         victim_entries=victim,
         seed=seed,
     )
-    r = characterize_overflow(SPEC2000_PROFILES[bench], cfg, engine=engine)
+    r = characterize_overflow(SPEC2000_PROFILES[bench], cfg)
     return {
         "bench": bench,
         "mean_read_blocks": r.mean_read_blocks,
@@ -515,18 +518,16 @@ def _fig3_point(bench: str, *, traces: int, accesses: int, victim: int, seed: in
 
 
 def _closed_point(n_entries: int, concurrency: int, write_footprint: int,
-                  *, alpha: int, seed: int,
-                  engine: str = DEFAULT_CLOSED_ENGINE) -> dict[str, Any]:
+                  *, alpha: int, seed: int) -> dict[str, Any]:
     """One closed-system grid point as a JSON-safe record."""
-    r = simulate_closed(
+    r = get_engine("closed")(
         ClosedSystemConfig(
             n_entries=n_entries,
             concurrency=concurrency,
             write_footprint=write_footprint,
             alpha=alpha,
             seed=seed,
-        ),
-        engine=engine,
+        )
     )
     return {
         "n_entries": n_entries,
@@ -915,22 +916,23 @@ SWEEP_KINDS: dict[str, SweepKind] = {
         SweepKind(
             "fig4a",
             "open-system conflict likelihood over an N x W grid (Figure 4a)",
+            result_version=1,
             params=(
                 ParamSpec("n_values", "int_list", default=[512, 1024, 2048, 4096]),
                 ParamSpec("w_values", "int_list", default=[4, 8, 16, 24, 32]),
                 ParamSpec("samples", "int", default=2000, hi=MAX_SAMPLES),
                 ParamSpec("concurrency", "int", default=2, lo=2, hi=64),
-                ParamSpec("engine", "engine", engine_kind="open"),
             ),
             point=_open_point,
             axes={"n": "n_values", "w": "w_values"},
-            wire={"concurrency": "concurrency", "samples": "samples", "engine": "engine"},
+            wire={"concurrency": "concurrency", "samples": "samples"},
             assemble=_nw_series_assemble("fig4a"),
             schema=_FIG4A_SCHEMA,
         ),
         SweepKind(
             "fig2a",
             "trace-driven alias likelihood over an N x W grid (Figure 2a)",
+            result_version=1,
             params=(
                 ParamSpec("n_values", "int_list", default=[4096, 16384, 65536]),
                 ParamSpec("w_values", "int_list", default=[5, 10, 20, 40]),
@@ -938,7 +940,6 @@ SWEEP_KINDS: dict[str, SweepKind] = {
                 ParamSpec("concurrency", "int", default=2, lo=2, hi=64),
                 ParamSpec("threads", "int", default=4, lo=1, hi=64),
                 ParamSpec("accesses", "int", default=100_000, lo=100, hi=MAX_TRACE_ACCESSES),
-                ParamSpec("engine", "engine", engine_kind="trace"),
             ),
             point=_fig2a_point,
             axes={"n": "n_values", "w": "w_values"},
@@ -947,7 +948,6 @@ SWEEP_KINDS: dict[str, SweepKind] = {
                 "accesses": "accesses",
                 "concurrency": "concurrency",
                 "samples": "samples",
-                "engine": "engine",
             },
             assemble=_nw_series_assemble("fig2a"),
             checks=(_check_power_of_two_tables,),
@@ -956,6 +956,7 @@ SWEEP_KINDS: dict[str, SweepKind] = {
         SweepKind(
             "fig3",
             "HTM overflow characterization over the benchmark fleet (Figure 3)",
+            result_version=1,
             params=(
                 ParamSpec(
                     "benchmarks", "str_choice_list",
@@ -964,28 +965,22 @@ SWEEP_KINDS: dict[str, SweepKind] = {
                 ParamSpec("traces", "int", default=5, hi=1000),
                 ParamSpec("accesses", "int", default=200_000, lo=1000, hi=MAX_TRACE_ACCESSES),
                 ParamSpec("victim", "int", default=0, lo=0, hi=64),
-                ParamSpec("engine", "engine", engine_kind="overflow"),
             ),
             point=_fig3_point,
             axes={"bench": "benchmarks"},
-            wire={
-                "traces": "traces",
-                "accesses": "accesses",
-                "victim": "victim",
-                "engine": "engine",
-            },
+            wire={"traces": "traces", "accesses": "accesses", "victim": "victim"},
             assemble=_fig3_assemble,
             schema=_FIG3_SCHEMA,
         ),
         SweepKind(
             "closed",
             "closed-system protocol runs over an N x C x W grid (Figures 5-6)",
+            result_version=1,
             params=(
                 ParamSpec("n_values", "int_list"),
                 ParamSpec("c_values", "int_list", default=[2]),
                 ParamSpec("w_values", "int_list", default=[10]),
                 ParamSpec("alpha", "float", default=2.0),
-                ParamSpec("engine", "engine", engine_kind="closed"),
             ),
             point=_closed_point,
             axes={
@@ -993,7 +988,7 @@ SWEEP_KINDS: dict[str, SweepKind] = {
                 "concurrency": "c_values",
                 "write_footprint": "w_values",
             },
-            wire={"alpha": "alpha", "engine": "engine"},
+            wire={"alpha": "alpha"},
             assemble=_closed_assemble,
             checks=(_check_thread_cap, _check_integral_alpha),
             schema=_CLOSED_SCHEMA,
@@ -1001,6 +996,7 @@ SWEEP_KINDS: dict[str, SweepKind] = {
         SweepKind(
             "model",
             "Eq. 8 closed forms over an N x W grid (no simulation)",
+            result_version=1,
             params=(
                 ParamSpec("n_values", "int_list"),
                 ParamSpec("w_values", "int_list"),
@@ -1014,6 +1010,7 @@ SWEEP_KINDS: dict[str, SweepKind] = {
             "placement",
             "allocator-placement false-conflict sensitivity over a "
             "placement x hash x N grid (Dice et al.)",
+            result_version=1,
             params=(
                 ParamSpec("n_values", "int_list", default=[1024, 4096, 16384]),
                 ParamSpec(
@@ -1049,6 +1046,7 @@ SWEEP_KINDS: dict[str, SweepKind] = {
             "fig7",
             "tagless vs tagged ownership-table A/B over identical placed "
             "streams (Figure 7 / section 5)",
+            result_version=1,
             params=(
                 ParamSpec("n_values", "int_list", default=[256, 1024, 4096]),
                 ParamSpec("w_values", "int_list", default=[4, 8, 16]),

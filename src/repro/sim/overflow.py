@@ -155,8 +155,9 @@ def characterize_overflow(
     """Measure mean overflow footprint/instructions for one benchmark.
 
     ``engine`` names an ``overflow`` entry of :mod:`repro.sim.engines`
-    (``None`` means the default); engines are byte-identical, so the
-    choice only changes wall-clock.
+    (``None`` means ``"fast"``); it is a test seam — engines are
+    byte-identical, so the differential suites and the speedup
+    benchmark pass ``"reference"`` to compare the pair.
     """
     points = list(_overflow_points(profile, cfg, engine))
     overflowed = [ov for ov in points if ov is not None]

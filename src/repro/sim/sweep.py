@@ -215,6 +215,7 @@ def run_grid(
     label: str = "sweep-point",
     cache: Optional[Any] = None,
     chunk_size: Optional[int] = None,
+    result_version: Optional[int] = None,
 ) -> SweepResult:
     """Evaluate ``fn`` over ``grid`` serially, on a process pool, or on a cluster.
 
@@ -229,11 +230,11 @@ def run_grid(
     ``cache`` (a :class:`~repro.service.cache.ResultCache`) checkpoints
     the grid in every mode, in chunks of ``chunk_size`` points (default:
     about four per worker) keyed by
-    :func:`~repro.cluster.coordinator.chunk_cache_key`, so ``fn`` must
-    be clusterable.  Locally every chunk is looked up first, and only
-    the missing ones run: serially in grid order, or all on one process
-    pool, which stores each chunk once its points settle (out of grid
-    order).  A chunk with a failed point is never stored; a pool run
+    :func:`~repro.cluster.coordinator.chunk_cache_key` with the sweep
+    kind's ``result_version``, so ``fn`` must be clusterable.  Locally
+    every chunk is looked up first, and only the missing ones run:
+    serially in grid order, or all on one process pool, which stores
+    each chunk once its points settle (out of grid order).  A chunk with a failed point is never stored; a pool run
     then returns its own result, which carries the failures.
 
     Every mode returns the same bytes; pool and cluster runs attach
@@ -249,8 +250,8 @@ def run_grid(
         )
 
         return run_sweep_cluster_from_callable(
-            fn, list(grid), seed=seed, label=label, workers=cluster,
-            jobs_per_worker=jobs or 1, cache=cache, frame=frame,
+            fn, list(grid), seed=seed, label=label, result_version=result_version,
+            workers=cluster, jobs_per_worker=jobs or 1, cache=cache, frame=frame,
             config=CoordinatorConfig(chunk_size=chunk_size, expected_workers=cluster),
         )
     pool = jobs is not None and jobs > 1
@@ -265,7 +266,9 @@ def run_grid(
     missing = chunk_grid(len(rows), size)
     keys: dict[Any, str] = {}
     if cache is not None:
-        task = task_from_callable(fn, seed=seed, label=label)
+        task = task_from_callable(
+            fn, seed=seed, label=label, result_version=result_version
+        )
         chunks, missing = missing, []
         for chunk in chunks:
             keys[chunk] = chunk_cache_key(task, rows[chunk.start:chunk.stop])

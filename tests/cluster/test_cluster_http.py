@@ -445,41 +445,6 @@ class TestServiceClusterExecution:
             finally:
                 client.close()
 
-    def test_closed_engine_crosses_cluster_wire(self):
-        """The engine name rides the closed sweep's point kwargs across
-        the cluster wire, and the result stays byte-identical to a
-        local run on the *other* engine."""
-        from repro.sim.catalog import SWEEP_KINDS, execute_sweep
-
-        fast = SWEEP_KINDS["closed"].validate(
-            {"n_values": [128], "w_values": [4], "engine": "fast"}
-        )
-        reference = SWEEP_KINDS["closed"].validate(
-            {"n_values": [128], "w_values": [4], "engine": "reference"}
-        )
-        local = execute_sweep("closed", reference, 5)
-        clustered = execute_sweep(
-            "closed", fast, 5, execution="cluster", cluster_workers=2
-        )
-        assert clustered["points"] == local["points"]
-
-    def test_fig2a_engine_crosses_cluster_wire(self):
-        """The trace-driven sweep ships only JSON scalars — the trace is
-        rebuilt from (threads, accesses, seed) on each worker — and the
-        engine kwarg rides along; the distributed result stays
-        byte-identical to a local run on the *other* engine."""
-        from repro.sim.catalog import SWEEP_KINDS, execute_sweep
-
-        base = {"n_values": [256], "w_values": [3, 6], "samples": 30,
-                "threads": 2, "accesses": 2000}
-        fast = SWEEP_KINDS["fig2a"].validate(dict(base, engine="fast"))
-        reference = SWEEP_KINDS["fig2a"].validate(dict(base, engine="reference"))
-        local = execute_sweep("fig2a", reference, 5)
-        clustered = execute_sweep(
-            "fig2a", fast, 5, execution="cluster", cluster_workers=2
-        )
-        assert clustered == local
-
     def test_bad_execution_mode_rejected(self):
         from repro.service.server import Service, ServiceConfig, ServiceThread
 

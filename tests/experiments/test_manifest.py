@@ -56,12 +56,14 @@ class TestPlanning:
         assert manifest.figures["fig4a"]["chunks"] == 3
 
     def test_mark_done_completes_chunk_count(self, manifest):
+        """Done is the only per-figure progress the manifest keeps: the
+        pinned geometry stays, and no chunk count is recorded."""
         manifest.plan_figure("fig4a", "fig4a", {}, 7)
         manifest.pin_chunking("fig4a", 2, 5)
-        manifest.mark_progress("fig4a", 3)
         manifest.mark_done("fig4a")
         record = manifest.figures["fig4a"]
-        assert record["done"] and record["chunks_done"] == 5
+        assert record["done"] and record["chunks"] == 5
+        assert "chunks_done" not in record
 
 
 class TestPersistence:

@@ -728,95 +728,19 @@ class TestSweepJobs:
             assert status == 400, body
             assert "error" in data
 
-    def test_closed_sweep_engines_byte_identical(self, service):
-        """The same closed sweep on each engine returns identical
-        points end-to-end over the wire (the engines' contract), and
-        the normalized engine name is part of the cache key."""
-        _, client = service
-        results = {}
-        for engine in ("reference", "fast"):
-            body = {
-                "kind": "closed",
-                "params": {"n_values": [256], "w_values": [6], "engine": engine},
-                "seed": 11,
-            }
-            _, submitted, _ = client.post("/v1/sweeps", body)
-            final = client.poll_job(submitted["id"])
-            assert final["state"] == "succeeded"
-            assert final["params"]["params"]["engine"] == engine
-            results[engine] = final["result"]["points"]
-        assert results["reference"] == results["fast"]
-
-    def test_closed_sweep_engine_defaults_to_fast(self, service):
-        _, client = service
-        body = {"kind": "closed", "params": {"n_values": [128], "w_values": [4]}}
-        _, submitted, _ = client.post("/v1/sweeps", body)
-        final = client.poll_job(submitted["id"])
-        assert final["state"] == "succeeded"
-        assert final["params"]["params"]["engine"] == "fast"
-
     def test_closed_sweep_validation_400(self, service):
-        """Bad engine names and impossible concurrency are clean 400s,
-        not worker crashes."""
+        """Impossible concurrency is a clean 400, not a worker crash."""
         _, client = service
-        for params in (
-            {"n_values": [128], "engine": "warp"},
-            {"n_values": [128], "engine": 7},
-            {"n_values": [128], "c_values": [64]},
-        ):
-            status, data, _ = client.post(
-                "/v1/sweeps", {"kind": "closed", "params": params}
-            )
-            assert status == 400, params
-            assert "error" in data
-
-    def test_fig2a_sweep_engines_byte_identical(self, service):
-        """The same trace-driven sweep on each engine returns identical
-        series end-to-end over the wire, and the normalized engine name
-        is part of the cache key."""
-        _, client = service
-        results = {}
-        for engine in ("reference", "fast"):
-            body = {
-                "kind": "fig2a",
-                "params": {
-                    "n_values": [256],
-                    "w_values": [3, 6],
-                    "samples": 40,
-                    "threads": 2,
-                    "accesses": 2000,
-                    "engine": engine,
-                },
-                "seed": 11,
-            }
-            _, submitted, _ = client.post("/v1/sweeps", body)
-            final = client.poll_job(submitted["id"])
-            assert final["state"] == "succeeded"
-            assert final["params"]["params"]["engine"] == engine
-            results[engine] = final["result"]
-        assert results["reference"] == results["fast"]
-        assert results["fast"]["kind"] == "fig2a"
-        assert list(results["fast"]["series"]) == ["N=256"]
-
-    def test_fig2a_sweep_engine_defaults_to_fast(self, service):
-        _, client = service
-        body = {
-            "kind": "fig2a",
-            "params": {"n_values": [128], "w_values": [3], "samples": 25,
-                       "threads": 2, "accesses": 2000},
-        }
-        _, submitted, _ = client.post("/v1/sweeps", body)
-        final = client.poll_job(submitted["id"])
-        assert final["state"] == "succeeded"
-        assert final["params"]["params"]["engine"] == "fast"
+        params = {"n_values": [128], "c_values": [64]}
+        status, data, _ = client.post("/v1/sweeps", {"kind": "closed", "params": params})
+        assert status == 400
+        assert "error" in data
 
     def test_fig2a_sweep_validation_400(self, service):
-        """Bad engine names and non-power-of-two table sizes are clean
+        """Non-power-of-two table sizes and too-short traces are clean
         400s, not worker crashes."""
         _, client = service
         for params in (
-            {"n_values": [128], "engine": "warp"},
-            {"n_values": [128], "engine": 7},
             {"n_values": [1000]},
             {"n_values": [128], "accesses": 10},
         ):
@@ -825,6 +749,18 @@ class TestSweepJobs:
             )
             assert status == 400, params
             assert "error" in data
+
+    @pytest.mark.parametrize("kind", ["fig4a", "fig2a", "fig3", "closed"])
+    def test_engine_param_is_400(self, service, kind):
+        """No request names an engine: the fast engine always runs, and
+        a request that still sends one gets the unknown-parameter 400."""
+        _, client = service
+        params = {"n_values": [128]} if kind == "closed" else {}
+        status, data, _ = client.post(
+            "/v1/sweeps", {"kind": kind, "params": dict(params, engine="fast")}
+        )
+        assert status == 400
+        assert "unknown parameter(s): engine" in data["error"]
 
     def test_unknown_job_404(self, service):
         _, client = service

@@ -11,8 +11,9 @@ fields, same error messages.  The per-kind differential suites
   asserts exact per-field equality (``==``, never ``approx``) or
   identical error type + message;
 * :func:`registry_test_class` — a test-class factory pinning the
-  registry shape every kind must expose (two entries, ``fast`` default,
-  lookup by name, unknown names rejected with the known names listed).
+  registry shape every kind must expose (two entries, ``fast`` when no
+  name is given, lookup by name, unknown names rejected with the known
+  names listed).
 
 This module is a helper, not a test module (no ``test_`` prefix); the
 suites instantiate it with their kind's run adapter and field list.
@@ -26,7 +27,7 @@ from typing import Any, Callable, Mapping, Optional
 
 import pytest
 
-from repro.sim.engines import DEFAULT_ENGINES, ENGINES, available_engines, get_engine
+from repro.sim.engines import ENGINES, available_engines, get_engine
 
 __all__ = ["EngineContract", "assert_frame_identity", "registry_test_class"]
 
@@ -148,9 +149,9 @@ def registry_test_class(kind: str, *, reference: Callable[..., Any],
     """Build the standard registry test class for one engine kind.
 
     Pins the shape every kind must expose: exactly the two canonical
-    names, ``fast`` as the default, identity-preserving lookup, and the
-    known names listed verbatim in unknown-name errors (the message CLI
-    and service surfaces forward).  ``fast`` may alias ``reference``
+    names, ``fast`` when no name is given (what every surface runs),
+    identity-preserving lookup, and the known names listed verbatim in
+    unknown-name errors.  ``fast`` may alias ``reference``
     (the ``open`` kind) — the shape holds regardless.
     """
 
@@ -163,7 +164,6 @@ def registry_test_class(kind: str, *, reference: Callable[..., Any],
             assert available_engines(kind) == ("fast", "reference")
 
         def test_default_is_fast(self):
-            assert DEFAULT_ENGINES[kind] == "fast"
             assert get_engine(kind) is fast
             assert get_engine(kind, None) is fast
 

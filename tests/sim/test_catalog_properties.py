@@ -8,8 +8,8 @@ hold, checked over hypothesis-drawn request spellings:
   whole numbers, shuffled key order, tuples for lists, omitted
   defaults) to the *same* normalized dict.
 * **Canonically-equal params share one cache key** — the service keys
-  results by ``cache_key({"kind": ..., "params": <normalized>}, seed)``,
-  so respelled requests must address the same cache entry.
+  results by ``SweepKind.result_key(<normalized>, seed)``, so respelled
+  requests must address the same cache entry.
 * **Grid kinds survive the cluster wire** — ``bind(params, seed)``
   round-trips through ``task_from_callable`` → wire JSON →
   ``ClusterTask.from_wire`` → ``bind()`` with the same function and
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.protocol import ClusterTask, SweepSpec, task_from_callable
-from repro.service.cache import cache_key, canonical_json
+from repro.service.cache import canonical_json
 from repro.sim.catalog import (
     MAX_GRID_POINTS,
     MAX_SAMPLES,
@@ -39,7 +39,6 @@ from repro.alloc.spec import available_placements
 from repro.ownership.hashing import available_hash_kinds
 from repro.traces.workloads import SPEC2000_PROFILES
 
-_ENGINE = st.sampled_from(["fast", "reference"])
 _INT_LIST = st.lists(st.integers(1, 10_000), min_size=1, max_size=3)
 _POW2_LIST = st.lists(
     st.sampled_from([256, 1024, 4096, 65536]), min_size=1, max_size=3
@@ -53,7 +52,6 @@ PARAMS = {
         "w_values": _INT_LIST,
         "samples": st.integers(1, MAX_SAMPLES),
         "concurrency": st.integers(2, 64),
-        "engine": _ENGINE,
     }),
     "fig2a": st.fixed_dictionaries({
         "n_values": _POW2_LIST,
@@ -62,7 +60,6 @@ PARAMS = {
         "concurrency": st.integers(2, 64),
         "threads": st.integers(1, 64),
         "accesses": st.integers(100, MAX_TRACE_ACCESSES),
-        "engine": _ENGINE,
     }),
     "fig3": st.fixed_dictionaries({
         "benchmarks": st.lists(
@@ -72,14 +69,12 @@ PARAMS = {
         "traces": st.integers(1, 1000),
         "accesses": st.integers(1000, MAX_TRACE_ACCESSES),
         "victim": st.integers(0, 64),
-        "engine": _ENGINE,
     }),
     "closed": st.fixed_dictionaries({
         "n_values": _INT_LIST,
         "c_values": st.lists(st.integers(1, 63), min_size=1, max_size=3),
         "w_values": _INT_LIST,
         "alpha": st.integers(0, 5),
-        "engine": _ENGINE,
     }),
     "model": st.fixed_dictionaries({
         "n_values": _INT_LIST,
@@ -184,10 +179,7 @@ class TestCacheKeyEquivalence:
         raw = data.draw(PARAMS[kind_name])
         blurred = respell(raw)
         assert canonical_json(raw) == canonical_json(blurred)
-        keys = {
-            cache_key({"kind": kind_name, "params": kind.validate(spelling)}, seed)
-            for spelling in (raw, blurred)
-        }
+        keys = {kind.result_key(kind.validate(spelling), seed) for spelling in (raw, blurred)}
         assert len(keys) == 1
 
     @given(data=st.data(), kind_name=st.sampled_from(KIND_NAMES))
@@ -195,9 +187,10 @@ class TestCacheKeyEquivalence:
     def test_seed_and_kind_separate_keys(self, data, kind_name):
         kind = SWEEP_KINDS[kind_name]
         params = kind.validate(data.draw(PARAMS[kind_name]))
-        base = cache_key({"kind": kind_name, "params": params}, 0)
-        assert cache_key({"kind": kind_name, "params": params}, 1) != base
-        assert cache_key({"kind": "other", "params": params}, 0) != base
+        base = kind.result_key(params, 0)
+        assert kind.result_key(params, 1) != base
+        other = SWEEP_KINDS["model" if kind_name != "model" else "fig4a"]
+        assert other.result_key(params, 0) != base
 
 
 class TestClusterWireRoundTrip:
@@ -238,10 +231,9 @@ class TestClusterWireRoundTrip:
         kind = SWEEP_KINDS[kind_name]
         params = kind.validate(data.draw(PARAMS[kind_name]))
         grid = kind.grid(params)
-        spec = SweepSpec.build(
-            task_from_callable(kind.bind(params, seed)), grid, run_id="prop-test"
-        )
+        spec = SweepSpec.build(kind.task(params, seed), grid, run_id="prop-test")
         respun = SweepSpec.from_wire(json.loads(json.dumps(spec.to_wire())))
         assert respun == spec
+        assert respun.task.result_version == kind.result_version
         rebuilt = [p for c in respun.chunks() for p in respun.points(c)]
         assert rebuilt == [dict(p) for p in grid]

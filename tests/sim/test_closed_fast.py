@@ -19,13 +19,7 @@ from hypothesis import strategies as st
 
 from repro.sim.closed_fast import simulate_closed_system_fast
 from repro.sim.closed_system import ClosedSystemConfig, simulate_closed_system
-from repro.sim.engines import (
-    CLOSED_ENGINES,
-    DEFAULT_CLOSED_ENGINE,
-    available_engines,
-    get_engine,
-    simulate_closed,
-)
+from repro.sim.engines import CLOSED_ENGINES, available_engines, get_engine
 from tests.sim.engine_contract import EngineContract, registry_test_class
 
 CONTRACT = EngineContract(
@@ -110,7 +104,7 @@ class TestEdgeCases:
         cfg = ClosedSystemConfig(n_entries=256, concurrency=4, write_footprint=8,
                                  alpha=0, seed=3)
         assert cfg.footprint == 8
-        r = simulate_closed(cfg, engine=engine)
+        r = get_engine("closed", engine)(cfg)
         assert r.committed > 0
         assert_identical(cfg)
 
@@ -118,7 +112,7 @@ class TestEdgeCases:
     def test_single_thread_never_conflicts(self, engine):
         """C=1: no other thread exists, so nothing can refuse a claim."""
         cfg = ClosedSystemConfig(n_entries=64, concurrency=1, write_footprint=10, seed=4)
-        r = simulate_closed(cfg, engine=engine)
+        r = get_engine("closed", engine)(cfg)
         assert r.conflicts == 0
         # One thread at one access per tick commits ~horizon/F times,
         # minus its stagger offset.
@@ -130,7 +124,7 @@ class TestEdgeCases:
         cfg = ClosedSystemConfig(n_entries=128, concurrency=4, write_footprint=1,
                                  alpha=0, seed=5)
         assert cfg.footprint == 1
-        r = simulate_closed(cfg, engine=engine)
+        r = get_engine("closed", engine)(cfg)
         assert r.committed + r.conflicts > 0
         assert_identical(cfg)
 
@@ -169,7 +163,6 @@ class TestEngineRegistry:
 
     def test_legacy_helpers_match_registry(self):
         assert set(CLOSED_ENGINES) == {"reference", "fast"}
-        assert DEFAULT_CLOSED_ENGINE == "fast"
         assert available_engines("closed") == ("fast", "reference")
         assert get_engine("closed") is simulate_closed_system_fast
         assert get_engine("closed", "reference") is simulate_closed_system
@@ -177,8 +170,9 @@ class TestEngineRegistry:
             get_engine("closed", "warp")
 
     def test_simulate_closed_dispatches(self):
+        """Registry dispatch: no name, "reference" and "fast" agree."""
         cfg = ClosedSystemConfig(n_entries=512, concurrency=2, write_footprint=5, seed=7)
-        default = simulate_closed(cfg)
-        ref = simulate_closed(cfg, engine="reference")
-        fast = simulate_closed(cfg, engine="fast")
+        default = get_engine("closed")(cfg)
+        ref = get_engine("closed", "reference")(cfg)
+        fast = get_engine("closed", "fast")(cfg)
         assert default == fast == ref

@@ -14,6 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.catalog import _fig3_point, _open_point
+from repro.sim.engines import get_engine
+from repro.sim.open_system import OpenSystemConfig
 from repro.sim.overflow import OverflowConfig, fleet_summary
 
 GOLDEN_SEED = 20070609  # SPAA 2007
@@ -83,6 +85,7 @@ class TestFig4aGolden:
     @pytest.mark.parametrize("params,expected", _FIG4A_GOLDEN)
     def test_open_grid_pinned(self, params, expected, engine):
         n, w = params
-        got = _open_point(n, w, concurrency=2, samples=500,
-                          seed=GOLDEN_SEED, engine=engine)
-        assert got == expected
+        cfg = OpenSystemConfig(n, 2, w, samples=500, seed=GOLDEN_SEED)
+        assert 100 * get_engine("open", engine)(cfg).conflict_probability == expected
+        # The catalog point, which always runs the fast engine.
+        assert _open_point(n, w, concurrency=2, samples=500, seed=GOLDEN_SEED) == expected

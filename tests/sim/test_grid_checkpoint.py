@@ -90,10 +90,12 @@ def test_only_missing_chunks_are_evaluated(pools):
     params = kind.validate(FIG4A)
     fn, grid = kind.bind(params, 3), kind.grid(params)
     cache = ResultCache()
-    # Chunk keys depend on the chunk's points only, so checkpointing the
-    # first and last pairs on their own pre-seeds chunks 0 and 2.
-    run_grid(fn, grid[:2], cache=cache, chunk_size=2)
-    run_grid(fn, grid[4:], cache=cache, chunk_size=2)
+    # Chunk keys depend on the chunk's points (and the kind's result
+    # version) only, so checkpointing the first and last pairs on their
+    # own pre-seeds chunks 0 and 2.
+    version = kind.result_version
+    run_grid(fn, grid[:2], cache=cache, chunk_size=2, result_version=version)
+    run_grid(fn, grid[4:], cache=cache, chunk_size=2, result_version=version)
     assert len(cache) == 2 and not pools
 
     sweep = kind.run(params, 3, jobs=2, cache=cache, chunk_size=2)

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htm.cache import CacheGeometry
-from repro.sim.engines import available_engines, get_engine, simulate_overflow
+from repro.sim.engines import available_engines, get_engine
 from repro.sim.open_system import simulate_open_system
 from repro.sim.overflow import (
     OverflowConfig,
@@ -232,11 +232,12 @@ class TestCharacterizationLevel:
         assert ref.traces_overflowed + ref.traces_fit == 3
 
     def test_simulate_overflow_dispatches(self):
+        """Registry dispatch: no name, "reference" and "fast" agree."""
         trace = synth("mcf", 8000, seed=3)
         geo = GEOMETRIES["8K-8way"]
-        default = simulate_overflow(trace, geo, victim_entries=1)
-        ref = simulate_overflow(trace, geo, victim_entries=1, engine="reference")
-        fast = simulate_overflow(trace, geo, victim_entries=1, engine="fast")
+        default = get_engine("overflow")(trace, geo, victim_entries=1)
+        ref = get_engine("overflow", "reference")(trace, geo, victim_entries=1)
+        fast = get_engine("overflow", "fast")(trace, geo, victim_entries=1)
         assert default == fast == ref
 
 

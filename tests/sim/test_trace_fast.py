@@ -23,15 +23,7 @@ from hypothesis import strategies as st
 from repro.ownership.hashing import make_hash
 from repro.sim.closed_fast import simulate_closed_system_fast
 from repro.sim.closed_system import simulate_closed_system
-from repro.sim.engines import (
-    DEFAULT_ENGINES,
-    DEFAULT_TRACE_ENGINE,
-    ENGINES,
-    TRACE_ENGINES,
-    available_engines,
-    get_engine,
-    simulate_trace,
-)
+from repro.sim.engines import ENGINES, TRACE_ENGINES, available_engines, get_engine
 from repro.sim.trace_driven import (
     TraceAliasConfig,
     TraceAliasResult,
@@ -362,16 +354,11 @@ class TestEngineRegistry:
 
     def test_kinds(self):
         assert set(ENGINES) == {"closed", "open", "overflow", "trace"}
-        assert DEFAULT_ENGINES == {
-            "closed": "fast",
-            "open": "fast",
-            "overflow": "fast",
-            "trace": "fast",
-        }
+        for kind, registry in ENGINES.items():
+            assert get_engine(kind) is registry["fast"]
 
     def test_legacy_helpers_match_registry(self):
         assert set(TRACE_ENGINES) == {"reference", "fast"}
-        assert DEFAULT_TRACE_ENGINE == "fast"
         assert available_engines("trace") == ("fast", "reference")
         assert get_engine("trace") is simulate_trace_aliasing_fast
         assert get_engine("trace", "reference") is simulate_trace_aliasing
@@ -391,8 +378,9 @@ class TestEngineRegistry:
             available_engines("warp")
 
     def test_simulate_trace_dispatches(self, equal_trace):
+        """Registry dispatch: no name, "reference" and "fast" agree."""
         cfg = TraceAliasConfig(n_entries=64, write_footprint=4, samples=50, seed=6)
-        default = simulate_trace(equal_trace, cfg)
-        ref = simulate_trace(equal_trace, cfg, engine="reference")
-        fast = simulate_trace(equal_trace, cfg, engine="fast")
+        default = get_engine("trace")(equal_trace, cfg)
+        ref = get_engine("trace", "reference")(equal_trace, cfg)
+        fast = get_engine("trace", "fast")(equal_trace, cfg)
         assert default == fast == ref

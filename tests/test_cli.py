@@ -103,64 +103,32 @@ class TestCommands:
         assert first == second
 
 
-class TestEngineFlag:
-    def test_closed_engines_print_identically(self, capsys):
-        """--engine selects speed, never output: both engines' stdout
-        must be byte-identical (and never name the engine)."""
-        argv = ["closed", "--n", "1024", "--c", "4", "--w", "6"]
-        assert main(argv + ["--engine", "reference"]) == 0
-        ref = capsys.readouterr().out
-        assert main(argv + ["--engine", "fast"]) == 0
-        fast = capsys.readouterr().out
-        assert fast == ref
-        assert "fast" not in ref and "reference" not in ref
+class TestNoEngineFlag:
+    """Every sweep runs the fast engine; no subcommand takes ``--engine``."""
 
-    def test_closed_engine_defaults_to_fast(self, capsys):
-        argv = ["closed", "--n", "512", "--c", "2", "--w", "5"]
-        assert main(argv) == 0
-        default = capsys.readouterr().out
-        assert main(argv + ["--engine", "fast"]) == 0
-        assert capsys.readouterr().out == default
-
-    def test_unknown_engine_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "command", ["fig2a", "fig3", "fig4a", "closed", "fig5", "report"]
+    )
+    def test_help_names_no_engine(self, command, capsys):
         with pytest.raises(SystemExit):
-            main(["closed", "--n", "64", "--engine", "warp"])
-        assert "invalid choice" in capsys.readouterr().err
+            main([command, "--help"])
+        assert "--engine" not in capsys.readouterr().out
 
-    def test_fig5_runs_and_engines_agree(self, capsys):
-        assert main(["fig5", "--engine", "reference"]) == 0
-        ref = capsys.readouterr().out
-        assert "Figure 5(a)" in ref and "N=1024" in ref and "N=16384" in ref
-        assert main(["fig5", "--engine", "fast"]) == 0
-        assert capsys.readouterr().out == ref
+    def test_fig5_engine_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig5", "--engine", "fast"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
-    def test_report_accepts_engine(self, capsys):
-        assert main(["report", "--quality", "smoke", "--engine", "fast"]) == 0
-        assert "closed" in capsys.readouterr().out.lower()
+    def test_fig5_runs(self, capsys):
+        assert main(["fig5"]) == 0
+        out = capsys.readouterr().out
+        assert "Figure 5(a)" in out and "N=1024" in out and "N=16384" in out
 
-    def test_fig2a_engines_print_identically(self, capsys):
-        """The trace-driven engines share the byte-identity contract:
-        same stdout either way, and the engine name never appears."""
-        argv = ["fig2a", "--samples", "30", "--accesses", "3000"]
-        assert main(argv + ["--engine", "reference"]) == 0
-        ref = capsys.readouterr().out
-        assert "Figure 2(a)" in ref
-        assert main(argv + ["--engine", "fast"]) == 0
-        fast = capsys.readouterr().out
-        assert fast == ref
-        assert "fast" not in ref and "reference" not in ref and "engine" not in ref
-
-    def test_fig2a_engine_defaults_to_fast(self, capsys):
-        argv = ["fig2a", "--samples", "25", "--accesses", "3000"]
-        assert main(argv) == 0
-        default = capsys.readouterr().out
-        assert main(argv + ["--engine", "fast"]) == 0
-        assert capsys.readouterr().out == default
-
-    def test_fig2a_unknown_engine_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig2a", "--engine", "warp"])
-        assert "invalid choice" in capsys.readouterr().err
+    def test_coordinate_engine_param_exits_2(self, capsys):
+        argv = ["cluster", "coordinate", "--params", '{"engine": "fast"}', "--port", "0"]
+        assert main(argv) == 2
+        assert "unknown parameter(s): engine" in capsys.readouterr().err
 
 
 class TestInterrupt:
