@@ -16,13 +16,13 @@ from repro.experiments import ExperimentsConfig, RunManifest, run_experiments
 FIGURES = ("fig4a", "fig7", "model")
 
 CACHE_FILES = [
-    "189d0632854d459e8f5325a888f7f6c87dab0e8d8e3d830937440ce6e128a6b5.json",
-    "308d307ad7af6fb1fabebfbd0f7510430c5e938f490c741b130a73af37b11e40.json",
-    "3c9145a099123cf1a35091ab766c872e096ae755f3a0e7f461e9538d4a63ce8d.json",
-    "8de0774f13dd698a990ff1149e05f72046f05716976b8f96e583c92ef5f10957.json",
-    "9262634c68ba51c75f50bccbf2f95dca541cfa3fff2438351cada63df373946d.json",
-    "a24bd3f3a109bb57308be8d83c2860238661dbb2b13bef8b22e61ff2ad98d3cc.json",
-    "f73e1499d6c484dfd7b1e4dc53e29a2a63b43ddf804b5e7ee431fc35594ec7de.json",
+    "10002e2643dd9243d3a1247654862c5921f817c66ad0294d0eb594d706481a14.json",
+    "6aa7c566c4cee3de9516e4a726dc3606a359183646a4aea955ae9673227e332e.json",
+    "a4685d3609dd7edc53b9e2a7da1acf2779d96eb8b611585ec286abd4d5ea02be.json",
+    "cb0bdc1f223247342d62af8b2ca895a5d169b70d44e1e794f719497ae3bf7fb5.json",
+    "d5aaac41e67ea8fb0fe7ae1a6ec20c3a15a12b317a4ef29c52fbe793f5a5aca8.json",
+    "eecb394277daed697f12b2afbab6ffa14d8651184ce11cda4ff0b02aff0b3c4f.json",
+    "fb6b12c90f48886569bdc5d45f5b8b5856b808071f49d57f1718cd52e1530453.json",
 ]
 
 CHUNKING = {
