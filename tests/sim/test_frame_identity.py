@@ -46,7 +46,7 @@ def _digest(kind_name: str) -> str:
     # Imported late, as below: test_result_golden imports CASES from here.
     from tests.sim.test_result_golden import RESULT_DIGESTS
 
-    return RESULT_DIGESTS[kind_name]
+    return RESULT_DIGESTS[kind_name][SWEEP_KINDS[kind_name].result_version]
 
 
 @pytest.mark.parametrize("kind_name", sorted(CASES))
