@@ -6,12 +6,13 @@ constant separation between families. :mod:`repro.analysis.fitting`
 estimates those slopes; :mod:`repro.analysis.validate` compares model
 predictions against measurements (including the actual-concurrency
 compensation of Figure 6b); :mod:`repro.analysis.tables` renders the
-rows/series the benches print.
+rows/series the benches and the experiments report print.  The
+reproduction report itself is :mod:`repro.experiments`
+(``repro experiments run``).
 """
 
 from repro.analysis.fitting import PowerLawFit, fit_power_law, pairwise_ratios
 from repro.analysis.plots import ascii_bars, ascii_plot
-from repro.analysis.report import ReportConfig, generate_report
 from repro.analysis.tables import format_series, format_table
 from repro.analysis.validate import (
     ValidationReport,
@@ -23,7 +24,6 @@ from repro.analysis.validate import (
 
 __all__ = [
     "PowerLawFit",
-    "ReportConfig",
     "ValidationReport",
     "ascii_bars",
     "ascii_plot",
@@ -31,7 +31,6 @@ __all__ = [
     "fit_power_law",
     "format_series",
     "format_table",
-    "generate_report",
     "pairwise_ratios",
     "validate_concurrency_scaling",
     "validate_footprint_scaling",

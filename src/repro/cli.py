@@ -217,12 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(p)
     _add_cluster_flag(p)
 
-    p = sub.add_parser("report", help="generate a full markdown reproduction report")
-    p.add_argument("--quality", choices=["smoke", "normal"], default="smoke")
-    p.add_argument("--output", type=str, default=None, help="write to file instead of stdout")
-    _add_jobs_flag(p)
-    _add_cluster_flag(p)
-
     p = sub.add_parser("birthday", help="classical birthday-paradox numbers")
     p.add_argument("--target", type=float, default=0.5, help="collision probability target")
     p.add_argument("--days", type=int, default=365)
@@ -630,26 +624,6 @@ def _cmd_birthday(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.report import ReportConfig, generate_report
-
-    text = generate_report(
-        ReportConfig(
-            quality=args.quality,
-            seed=args.seed,
-            jobs=args.jobs,
-            cluster=args.cluster,
-        )
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"report written to {args.output}")
-    else:
-        print(text)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import ServiceConfig, serve
 
@@ -872,7 +846,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 _HANDLERS = {
     "model": _cmd_model,
-    "report": _cmd_report,
     "sizing": _cmd_sizing,
     "capacity": _cmd_capacity,
     "fig2a": _cmd_fig2a,

@@ -330,9 +330,8 @@ class Coordinator(JsonHttpServer):
             return
         for chunk in chunks:
             hit, cached = self.cache.lookup(self._chunk_key(chunk))
-            if not hit or len(cached) != chunk.count:
+            if not (hit and self._sink.fill_cached(chunk.start, chunk.count, cached)):
                 continue
-            self._sink.fill_many(chunk.start, cached)
             self.leases.mark_done(chunk.index)
             self._cache_hits += 1
             self._m_cached_chunks.inc()

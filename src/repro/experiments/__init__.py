@@ -4,8 +4,8 @@
 (:data:`repro.sim.catalog.SWEEP_KINDS`) into a figure-level pipeline:
 
 * :mod:`repro.experiments.specs` — one :class:`ExperimentSpec` per
-  paper figure (grid presets per quality tier plus the paper claims the
-  figure supports);
+  paper figure (grid presets per quality tier, the paper claims the
+  figure supports, and the paper's in-text numbers it measures);
 * :mod:`repro.experiments.manifest` — the per-run :class:`RunManifest`
   (spec hashes, pinned chunk geometry, completion state, environment
   fingerprint) that makes an interrupted run resumable;
@@ -16,7 +16,8 @@
   or elastic cluster execution, checkpointed per chunk through the
   content-addressed :class:`~repro.service.cache.ResultCache`);
 * :mod:`repro.experiments.artifact` — the deterministic report bundle
-  (``report.md`` + ``report.json``) written under the output dir.
+  (``report.md`` + ``report.json``) written under the output dir, the
+  one reproduction report.
 
 The contract: a run interrupted at any point and restarted with the
 same command skips every finished chunk (cache hits, visible in

@@ -3,8 +3,8 @@
 ``write_artifact`` renders every figure's assembled result into a
 markdown report (tables via :mod:`repro.analysis.tables`, one section
 per figure, each section leading with the paper claims the figure
-supports) plus a machine-readable JSON twin, both under the run's
-output dir.
+supports and closing with its ``quantity | paper | measured`` rows)
+plus a machine-readable JSON twin, both under the run's output dir.
 
 Determinism is a hard requirement, not a nicety: the resume contract is
 "a SIGKILL'd run rerun with the same command produces a byte-identical
@@ -145,8 +145,10 @@ def write_artifact(
 
     ``results`` maps figure id to the kind-assembled result dict and
     ``params`` to the normalized parameters that produced it; figures
-    appear in :data:`~repro.experiments.specs.EXPERIMENTS` order.
-    Returns the two paths.
+    appear in :data:`~repro.experiments.specs.EXPERIMENTS` order.  Each
+    spec's :attr:`~repro.experiments.specs.ExperimentSpec.paper_rows`
+    land under its figure in ``report.md`` and in the JSON's ``paper``
+    block.  Returns the two paths.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -158,6 +160,7 @@ def write_artifact(
         "",
     ]
     json_figures: dict[str, Any] = {}
+    json_paper: dict[str, Any] = {}
     for figure, spec in EXPERIMENTS.items():
         if figure not in results:
             continue
@@ -179,6 +182,16 @@ def write_artifact(
         lines.append(render_figure(spec.kind, result))
         lines.append("```")
         lines.append("")
+        rows = spec.paper_rows(figure_params, result)
+        if rows:
+            lines.append("```")
+            lines.append(format_table(["quantity", "paper", "measured"], rows))
+            lines.append("```")
+            lines.append("")
+            json_paper[figure] = [
+                {"quantity": q, "paper": paper, "measured": measured}
+                for q, paper, measured in rows
+            ]
         json_figures[figure] = {
             "kind": spec.kind,
             "title": spec.title,
@@ -191,7 +204,8 @@ def write_artifact(
     md_path.write_text("\n".join(lines))
     json_path.write_text(
         json.dumps(
-            {"quality": quality, "seed": seed, "figures": json_figures},
+            {"quality": quality, "seed": seed, "figures": json_figures,
+             "paper": json_paper},
             indent=2,
             sort_keys=True,
         )

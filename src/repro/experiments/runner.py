@@ -214,8 +214,9 @@ def _log(message: str) -> None:
 class _CheckpointCache(ResultCache):
     """The run's chunk cache, counting the chunks it stores.
 
-    Each :meth:`put` counts toward ``crash_after_chunks``, raised only
-    once that chunk is on disk.
+    The count is each figure's computed-chunk telemetry, and each
+    :meth:`put` counts toward ``crash_after_chunks``, raised only once
+    that chunk is on disk.
     """
 
     def __init__(self, cfg: ExperimentsConfig) -> None:
@@ -269,7 +270,7 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
         all_params[spec.figure] = params
         manifest.plan_figure(spec.figure, spec.kind, params, cfg.seed)
         started = time.perf_counter()
-        hits_before = cache.stats().hits
+        computed_before = cache.computed
         stolen = cluster_workers = 0
         sweep = None
         if not kind.clusterable:
@@ -310,7 +311,9 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
                 stolen = sweep.telemetry.leases_stolen
                 cluster_workers = max(1, sweep.telemetry.workers)
         wall = time.perf_counter() - started
-        computed = chunks - (cache.stats().hits - hits_before)
+        # Count stores, not lookup hits: an entry of the wrong shape is a
+        # lookup hit that the sink refuses, so it is recomputed and stored.
+        computed = cache.computed - computed_before
         if sweep is not None:
             if computed:
                 sizer.observe(computed * chunk_size, wall, workers)

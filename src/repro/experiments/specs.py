@@ -2,10 +2,11 @@
 
 Each paper figure is one :class:`ExperimentSpec`: which sweep kind from
 :data:`repro.sim.catalog.SWEEP_KINDS` reproduces it, the grid to run at
-each quality tier, and the paper claims the figure supports (so the
-report artifact can print what each table is evidence *for*).  Specs
-hold only raw parameter dicts; validation and normalization stay with
-the kind's schema, so an experiment can never request a grid the
+each quality tier, the paper claims the figure supports (so the report
+artifact can print what each table is evidence *for*), and the paper's
+in-text numbers it measures, as ``quantity | paper | measured`` rows.
+Specs hold only raw parameter dicts; validation and normalization stay
+with the kind's schema, so an experiment can never request a grid the
 service or cluster would reject.
 
 Quality tiers: ``smoke`` is minutes-on-a-laptop CI food — every figure,
@@ -16,8 +17,9 @@ spec validate at import-test time (``tests/experiments/test_specs.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
+from repro.core.sizing import concurrency_scaling_factor, table_entries_for_commit_probability
 from repro.sim.catalog import SWEEP_KINDS
 
 __all__ = ["Claim", "EXPERIMENTS", "ExperimentSpec", "QUALITIES", "figures"]
@@ -39,6 +41,14 @@ class Claim:
     expectation: str
 
 
+PaperRow = tuple[str, str, str]
+"""One ``(quantity, paper, measured)`` row of a figure's paper table."""
+
+
+def _no_rows(params: Mapping[str, Any], result: Mapping[str, Any]) -> list[PaperRow]:
+    return []
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One paper figure as a runnable experiment.
@@ -58,6 +68,10 @@ class ExperimentSpec:
         Raw (unvalidated) parameter dicts per quality tier.
     claims:
         Paper claims this figure supports.
+    paper_rows:
+        ``(params, result) -> rows``: the paper's in-text numbers next
+        to what this run measured.  Rows for grid points the tier does
+        not hold are left out.
     """
 
     figure: str
@@ -66,6 +80,7 @@ class ExperimentSpec:
     section: str
     quality_params: Mapping[str, Mapping[str, Any]]
     claims: tuple[Claim, ...] = field(default=())
+    paper_rows: Callable[[Mapping[str, Any], Mapping[str, Any]], list[PaperRow]] = _no_rows
 
     def params(self, quality: str) -> dict[str, Any]:
         """The normalized parameter dict for ``quality``.
@@ -81,6 +96,49 @@ class ExperimentSpec:
                 f"expected one of: {known}"
             )
         return SWEEP_KINDS[self.kind].validate(self.quality_params[quality])
+
+
+def _sizing_rows(params: Mapping[str, Any], result: Mapping[str, Any]) -> list[PaperRow]:
+    # Section 3's table-size claims, from the closed forms.
+    return [
+        ("entries for 50% commit (W=71, C=2)", ">50,000",
+         f"{table_entries_for_commit_probability(71, 0.5):,}"),
+        ("entries for 95% commit (W=71, C=2)", ">500,000",
+         f"{table_entries_for_commit_probability(71, 0.95):,}"),
+        ("entries for 95% commit (W=71, C=8)", ">14,000,000",
+         f"{table_entries_for_commit_probability(71, 0.95, concurrency=8):,}"),
+        ("conflict ratio C=2 to C=4", "6x", f"{concurrency_scaling_factor(2, 4):.1f}x"),
+    ]
+
+
+_FIG4A_W8 = {512: 0.48, 1024: 0.27, 2048: 0.14, 4096: 0.077}
+
+
+def _fig4a_rows(params: Mapping[str, Any], result: Mapping[str, Any]) -> list[PaperRow]:
+    # Figure 4(a)'s W=8 column at C=2, as the paper quotes it.
+    if 8 not in result["w_values"] or params["concurrency"] != 2:
+        return []
+    column = result["w_values"].index(8)
+    return [
+        (f"conflict likelihood (N={n}, W=8)", f"{paper:.1%}",
+         f"{result['series'][f'N={n}'][column] / 100:.1%}")
+        for n, paper in _FIG4A_W8.items()
+        if f"N={n}" in result["series"]
+    ]
+
+
+def _fig3_rows(params: Mapping[str, Any], result: Mapping[str, Any]) -> list[PaperRow]:
+    # Section 2.3's fleet averages: utilization, write share, length.
+    avg = next((r for r in result["points"] if r["bench"] == "AVG"), None)
+    if avg is None:
+        return []
+    total = avg["mean_read_blocks"] + avg["mean_write_blocks"]
+    written = avg["mean_write_blocks"] / total if total > 0 else 0.0
+    return [
+        ("cache utilization at overflow", "~36%", f"{avg['mean_utilization']:.0%}"),
+        ("written share of footprint", "~33%", f"{written:.0%}"),
+        ("dynamic instructions", ">23K", f"{avg['mean_instructions'] / 1e3:.1f}K"),
+    ]
 
 
 def figures() -> list[str]:
@@ -146,6 +204,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                     ),
                 ),
             ),
+            paper_rows=_fig3_rows,
         ),
         ExperimentSpec(
             figure="fig4a",
@@ -174,6 +233,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                     ),
                 ),
             ),
+            paper_rows=_fig4a_rows,
         ),
         ExperimentSpec(
             figure="fig5",
@@ -248,6 +308,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                     ),
                 ),
             ),
+            paper_rows=_sizing_rows,
         ),
         ExperimentSpec(
             figure="placement",

@@ -16,8 +16,7 @@ determinism contract of :func:`repro.sim.sweep.run_sweep`:
 so ``run_sweep_parallel(fn, points, jobs=k)`` is bit-identical to the
 serial runner for every ``k`` and ``chunk_size``.
 
-Robustness: a point that raises or exceeds ``timeout`` is retried up to
-``retries`` times and then recorded as a :class:`SweepFailure` outcome;
+Robustness: a point that raises is retried up to ``retries`` times and then recorded as a :class:`SweepFailure` outcome;
 a worker that dies mid-chunk (segfault, ``os._exit``) breaks the pool,
 which the engine rebuilds, re-running the lost points in isolated
 single-worker pools so one poisoned point cannot take its chunk-mates
@@ -31,7 +30,6 @@ each as soon as all its points settle cleanly: that is how
 
 from __future__ import annotations
 
-import signal
 import time
 import traceback
 from collections import deque
@@ -62,10 +60,10 @@ class SweepFailure:
     point:
         The grid point's coordinates.
     kind:
-        ``"error"`` (``fn`` raised), ``"timeout"`` (exceeded the
-        per-point budget), or ``"crash"`` (the worker process died).
+        ``"error"`` (``fn`` raised) or ``"crash"`` (the worker process
+        died).
     error:
-        Human-readable detail — a traceback for errors, a budget/crash
+        Human-readable detail — a traceback for errors, a crash
         message otherwise.
     attempts:
         Executions consumed before giving up (1 + retries used).
@@ -176,7 +174,7 @@ def _abandon(executor: ProcessPoolExecutor) -> None:
     Joining the manager matters beyond promptness: it is what closes
     the call queue and its feeder thread.  A pool that is merely
     abandoned keeps the queue's OS resources (a semaphore and a pipe)
-    alive until garbage collection, so repeated timeout storms — each
+    alive until garbage collection, so repeated crash recoveries — each
     abandoning a broken pool and building a fresh one — would
     accumulate semaphores until the process hits its file-descriptor or
     semaphore limit.  Closing the queue ourselves is the fallback for
@@ -222,44 +220,23 @@ def _abandon(executor: ProcessPoolExecutor) -> None:
             pass
 
 
-class _PointTimeout(Exception):
-    """Raised inside a worker when a point exceeds its time budget."""
-
-
-def _raise_timeout(signum: int, frame: Any) -> None:
-    raise _PointTimeout()
-
-
 def _run_point(
     fn: Callable[..., Any],
     point: Mapping[str, Any],
     seed: Optional[int],
     label: str,
-    timeout: Optional[float],
 ) -> tuple[str, Any, float]:
     """Worker-side evaluation of one point: (status, payload, seconds).
 
-    ``status`` is ``"ok"`` (payload = outcome), ``"error"`` (payload =
-    traceback text), or ``"timeout"``. The timeout uses ``SIGALRM`` so a
-    stuck point interrupts itself without poisoning the worker; on
-    platforms without it the budget is simply not enforced.
+    ``status`` is ``"ok"`` (payload = outcome) or ``"error"`` (payload =
+    traceback text).
     """
     start = time.perf_counter()
-    use_alarm = timeout is not None and hasattr(signal, "SIGALRM")
-    if use_alarm:
-        previous = signal.signal(signal.SIGALRM, _raise_timeout)
-        signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
         value = _call_point(fn, point, seed, label)
         return ("ok", value, time.perf_counter() - start)
-    except _PointTimeout:
-        return ("timeout", f"point exceeded {timeout:g}s budget", time.perf_counter() - start)
     except Exception:
         return ("error", traceback.format_exc(limit=16), time.perf_counter() - start)
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
 
 
 def _run_chunk(
@@ -267,10 +244,9 @@ def _run_chunk(
     chunk: list[tuple[int, dict[str, Any]]],
     seed: Optional[int],
     label: str,
-    timeout: Optional[float],
 ) -> list[tuple[int, tuple[str, Any, float]]]:
     """Worker-side evaluation of a chunk of indexed points."""
-    return [(index, _run_point(fn, point, seed, label, timeout)) for index, point in chunk]
+    return [(index, _run_point(fn, point, seed, label)) for index, point in chunk]
 
 
 def run_sweep_parallel(
@@ -281,7 +257,6 @@ def run_sweep_parallel(
     chunk_size: Optional[int] = None,
     seed: Optional[int] = None,
     label: str = "sweep-point",
-    timeout: Optional[float] = None,
     retries: int = 1,
     progress: Optional[Callable[[int, int], None]] = None,
     chunks: Optional[Sequence[Any]] = None,
@@ -314,9 +289,6 @@ def run_sweep_parallel(
         ``seed=`` keyword from :func:`repro.util.rng.point_seed`.
     label:
         Stream label folded into each point's derived seed.
-    timeout:
-        Per-point wall-clock budget in seconds (enforced via ``SIGALRM``
-        where available); ``None`` disables it.
     retries:
         Re-executions allowed per point before recording a
         :class:`SweepFailure`.
@@ -344,8 +316,6 @@ def run_sweep_parallel(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if retries < 0:
         raise ValueError(f"retries must be non-negative, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
 
     grid = [dict(point) for point in points]
     if chunk_size is None:
@@ -404,7 +374,7 @@ def run_sweep_parallel(
             attempts[index] += 1
             retries_used += 1
             with ProcessPoolExecutor(max_workers=1) as solo:
-                future = solo.submit(_run_chunk, fn, [(index, point)], seed, label, timeout)
+                future = solo.submit(_run_chunk, fn, [(index, point)], seed, label)
                 try:
                     [(_, triple)] = future.result()
                 except BrokenProcessPool:
@@ -425,7 +395,7 @@ def run_sweep_parallel(
                 for index, _ in chunk:
                     attempts[index] += 1
                 try:
-                    future = executor.submit(_run_chunk, fn, chunk, seed, label, timeout)
+                    future = executor.submit(_run_chunk, fn, chunk, seed, label)
                 except Exception:  # pool already broken: recover below
                     for index, _ in chunk:
                         attempts[index] -= 1

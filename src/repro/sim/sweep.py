@@ -17,7 +17,7 @@ All derive each point's randomness only from the point's coordinates
 (via :func:`repro.util.rng.point_seed` when ``seed`` is given), so they
 return bit-identical :class:`SweepResult` objects.  :func:`run_grid` is
 the one place that picks between them; every surface (CLI, service,
-report, experiments, cluster workers) calls it.  Settled outcomes land
+experiments, cluster workers) calls it.  Settled outcomes land
 in a :class:`SweepSink`, the one place that decides between a
 :class:`~repro.sim.frame.SweepFrame`'s typed columns and a plain outcome
 list, and builds the result.
@@ -152,6 +152,22 @@ class SweepSink:
         else:
             self.frame.fill_many(start, self.points[start:stop], outcomes)
 
+    def fill_cached(self, start: int, count: int, outcomes: Any) -> bool:
+        """Settle a chunk from a cache entry; ``False`` if the entry does not fit.
+
+        An entry fits only if it is a list of ``count`` outcomes that
+        :meth:`fill_many` accepts (a frame writes nothing when it
+        refuses one).  Anything else is a miss: the caller recomputes
+        the chunk and overwrites the entry.
+        """
+        if not isinstance(outcomes, list) or len(outcomes) != count:
+            return False
+        try:
+            self.fill_many(start, outcomes)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            return False
+        return True
+
     def result(self, telemetry: Optional[Any] = None) -> SweepResult:
         """The run's result, once every point has settled."""
         if self.frame is None:
@@ -234,8 +250,11 @@ def run_grid(
     kind's ``result_version``, so ``fn`` must be clusterable.  Locally
     every chunk is looked up first, and only the missing ones run:
     serially in grid order, or all on one process pool, which stores
-    each chunk once its points settle (out of grid order).  A chunk with a failed point is never stored; a pool run
-    then returns its own result, which carries the failures.
+    each chunk once its points settle (out of grid order).  An entry
+    that does not fit its chunk (:meth:`SweepSink.fill_cached`) is
+    missing too, and is overwritten.  A chunk with a failed point is
+    never stored; a pool run then returns its own result, which carries
+    the failures.
 
     Every mode returns the same bytes; pool and cluster runs attach
     their telemetry to the result.  ``seed``/``label`` derive per-point
@@ -273,9 +292,7 @@ def run_grid(
         for chunk in chunks:
             keys[chunk] = chunk_cache_key(task, rows[chunk.start:chunk.stop])
             hit, outcomes = cache.lookup(keys[chunk])
-            if hit and len(outcomes) == chunk.count:
-                sink.fill_many(chunk.start, outcomes)
-            else:
+            if not (hit and sink.fill_cached(chunk.start, chunk.count, outcomes)):
                 missing.append(chunk)
 
     def settle(chunk: Any, outcomes: list[Any]) -> None:

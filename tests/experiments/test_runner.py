@@ -10,13 +10,16 @@ execution modes, and when the cluster fleet churns mid-run.
 from __future__ import annotations
 
 import dataclasses
+import json
 import multiprocessing
 import re
+import shutil
 
 import pytest
 
 from repro.cli import main
-from repro.cluster.coordinator import ClusterError
+from repro.cluster.coordinator import ClusterError, chunk_cache_key
+from repro.cluster.protocol import chunk_grid
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentInterrupted,
@@ -25,6 +28,7 @@ from repro.experiments import (
     RunManifest,
     run_experiments,
 )
+from repro.sim.catalog import SWEEP_KINDS
 
 SMALL = ("fig4a", "model")  # one clusterable sweep + the single-shot figure
 
@@ -126,6 +130,61 @@ class TestResumeAfterInterrupt:
         assert resumed.cache_hits >= 1
         fresh = run_experiments(smoke_cfg(tmp_path / "fresh"))
         assert artifact_bytes(resumed) == artifact_bytes(fresh)
+
+
+class TestWrongShapeCacheEntries:
+    """A chunk entry that does not fit its chunk is a miss, not a crash.
+
+    Each case overwrites one chunk's disk entry of a clean smoke run with
+    valid JSON of the wrong shape and resumes: the resume recomputes that
+    chunk alone, stores it again, and writes the clean run's artifact.
+    """
+
+    WRONG = {"int": 5, "null": None, "str": "s", "dict": {"a": 1}, "short": "short"}
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        runs = {}
+        for figure in ("fig4a", "fig3"):
+            out = tmp_path_factory.mktemp(f"clean-{figure}")
+            runs[figure] = out, artifact_bytes(
+                run_experiments(smoke_cfg(out, figures=(figure,)))
+            )
+        return runs
+
+    @staticmethod
+    def chunk_entry(out_dir, figure):
+        """The disk entry of the figure's last chunk, and its outcomes."""
+        spec = EXPERIMENTS[figure]
+        kind = SWEEP_KINDS[spec.kind]
+        params = spec.params("smoke")
+        grid = kind.grid(params)
+        size = RunManifest.load(out_dir).figures[figure]["chunk_size"]
+        chunk = chunk_grid(len(grid), size)[-1]
+        key = chunk_cache_key(kind.task(params, 7), grid[chunk.start:chunk.stop])
+        (path,) = (out_dir / "cache").rglob(f"{key}.json")
+        return path, json.loads(path.read_text())
+
+    def resume_corrupted(self, clean, tmp_path, figure, wrong, **mode):
+        source, expected = clean[figure]
+        out = tmp_path / "run"
+        shutil.copytree(source, out)
+        path, outcomes = self.chunk_entry(out, figure)
+        value = outcomes[:-1] if wrong == "short" else self.WRONG[wrong]
+        path.write_text(json.dumps(value))
+        resumed = run_experiments(smoke_cfg(out, figures=(figure,), **mode))
+        (tele,) = resumed.figures
+        assert (tele.computed_chunks, tele.cache_hits) == (1, tele.chunks - 1)
+        assert artifact_bytes(resumed) == expected
+        assert json.loads(path.read_text()) == outcomes  # overwritten
+
+    @pytest.mark.parametrize("wrong", sorted(WRONG))
+    @pytest.mark.parametrize("figure", ["fig4a", "fig3"])
+    def test_serial_resume_recomputes_the_chunk(self, clean, tmp_path, figure, wrong):
+        self.resume_corrupted(clean, tmp_path, figure, wrong)
+
+    def test_cluster_resume_recomputes_the_chunk(self, clean, tmp_path):
+        self.resume_corrupted(clean, tmp_path, "fig3", "dict", cluster=2)
 
 
 class TestElasticCluster:

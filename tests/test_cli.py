@@ -107,7 +107,7 @@ class TestNoEngineFlag:
     """Every sweep runs the fast engine; no subcommand takes ``--engine``."""
 
     @pytest.mark.parametrize(
-        "command", ["fig2a", "fig3", "fig4a", "closed", "fig5", "report"]
+        "command", ["fig2a", "fig3", "fig4a", "closed", "fig5", "experiments"]
     )
     def test_help_names_no_engine(self, command, capsys):
         with pytest.raises(SystemExit):
@@ -350,8 +350,8 @@ class TestJobsFlag:
         assert captured.out == serial
         assert "workers=" in captured.err
 
-    def test_report_accepts_jobs(self, capsys):
-        assert build_parser().parse_args(["report", "--jobs", "4"]).jobs == 4
+    def test_experiments_run_accepts_jobs(self, capsys):
+        assert build_parser().parse_args(["experiments", "run", "--jobs", "4"]).jobs == 4
 
     @pytest.mark.parametrize("value", ["0", "-1", "-4"])
     def test_non_positive_jobs_rejected(self, value, capsys):
@@ -367,11 +367,19 @@ class TestJobsFlag:
         assert "invalid" in capsys.readouterr().err
 
     def test_jobs_defaults_to_serial(self):
-        for command in (["fig2a"], ["fig3"], ["fig4a"], ["closed", "--n", "64"], ["report"]):
+        for command in (["fig2a"], ["fig3"], ["fig4a"], ["closed", "--n", "64"],
+                        ["experiments", "run"]):
             assert build_parser().parse_args(command).jobs is None
 
 
 class TestExperiments:
+    def test_report_subcommand_is_gone(self, capsys):
+        # ``experiments run`` writes the one reproduction report.
+        with pytest.raises(SystemExit) as exc:
+            main(["report"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
+
     def test_list_shows_every_figure(self, capsys):
         from repro.experiments import EXPERIMENTS
 
