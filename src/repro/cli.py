@@ -21,35 +21,32 @@
 
 Every subcommand prints the same series its benchmark counterpart
 asserts on, with explicit seeds, so results can be pasted into reports.
-``serve`` exposes the model and sweep engines over JSON/HTTP (see
-:mod:`repro.service`); ``loadgen`` measures a running server.
-``cluster`` distributes one sweep across worker processes — possibly on
-other machines — via :mod:`repro.cluster`; sweep subcommands also take
-``--cluster N`` to fan out over N in-process workers directly.
-Every sweep runs the fast engine of its kind; the reference engines are
-byte-identical oracles for the differential tests and the speedup
-benchmarks, so no subcommand takes an engine flag (see
-:mod:`repro.sim.engines`).  The figure subcommands resolve
-through the same declarative sweep-kind table
-(:data:`repro.sim.catalog.SWEEP_KINDS`) the service and cluster use, so
-all three surfaces run the very same point functions.  ``experiments
-run`` executes *every* paper figure in one resumable, checkpointed run
-(:mod:`repro.experiments`) — interrupt it, rerun the same command, and
-finished chunks are served from the on-disk cache.
+The figure subcommands are the rows of one table, :data:`FIGURES`.  Each
+row names a kind of :data:`repro.sim.catalog.SWEEP_KINDS`, whose
+parameter specs give its flags their types and defaults, and whose
+validation and point functions are the ones ``POST /v1/sweeps`` and the
+cluster use: a bad flag fails with the service's message.  Every sweep
+runs its kind's fast engine (the reference engines are test oracles,
+see :mod:`repro.sim.engines`), serially, on ``--jobs N`` processes or
+on ``--cluster N`` in-process cluster workers.  ``serve`` exposes the
+model and sweep engines over JSON/HTTP (:mod:`repro.service`) and
+``loadgen`` measures a running server; ``cluster`` distributes one
+sweep across worker processes, possibly on other machines
+(:mod:`repro.cluster`).  ``experiments run`` executes every paper
+figure in one resumable, checkpointed run (:mod:`repro.experiments`).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.analysis.tables import format_series, format_table
 from repro.core.birthday import birthday_collision_probability, people_for_collision_probability
 from repro.core.model import ModelParams, conflict_likelihood, conflict_likelihood_product_form
 from repro.core.sizing import table_entries_for_commit_probability
 from repro.sim.catalog import SWEEP_KINDS
-from repro.sim.closed_system import ClosedSystemConfig
 
 __all__ = ["main", "build_parser", "version_string"]
 
@@ -87,21 +84,8 @@ def _jobs_arg(value: str) -> int:
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--jobs",
-        type=_jobs_arg,
-        default=None,
-        metavar="N",
+        "--jobs", type=_jobs_arg, default=None, metavar="N",
         help="worker processes for the sweep (default: serial)",
-    )
-
-
-def _add_cluster_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cluster",
-        type=_jobs_arg,
-        default=None,
-        metavar="N",
-        help="distribute the sweep over N in-process cluster workers (default: off)",
     )
 
 
@@ -111,12 +95,196 @@ def _progress_line(done: int, total: int) -> None:
     Suppressed entirely when stderr is not a TTY — carriage returns
     would otherwise pollute redirected logs and CI output with one
     ever-growing line of overstrikes.  (The end-of-sweep telemetry
-    summary is printed unconditionally by :func:`_run_kind`.)
+    summary is printed unconditionally by :func:`_cmd_figure`.)
     """
     if not sys.stderr.isatty():
         return
     end = "\n" if done >= total else ""
     print(f"\r[sweep] {done}/{total} points", end=end, file=sys.stderr, flush=True)
+
+
+# -- figure subcommands -------------------------------------------------
+#
+# A printer writes a figure's stdout from its title (the row's template,
+# filled in), the kind's validated params and the assembled result.
+
+
+def _print_series(title: str, params: dict[str, Any], out: dict[str, Any]) -> None:
+    x = out["x"]
+    print(format_series(x.upper(), out[f"{x}_values"], out["series"], title=title))
+
+
+def _print_fig3(title: str, params: dict[str, Any], out: dict[str, Any]) -> None:
+    rows = [
+        [
+            r["bench"],
+            round(r["mean_write_blocks"]),
+            round(r["mean_read_blocks"]),
+            f"{r['mean_utilization']:.0%}",
+            f"{r['mean_instructions'] / 1e3:.1f}K",
+        ]
+        for r in out["points"]
+    ]
+    print(format_table(["bench", "writes", "reads", "util", "instr"], rows, title=title))
+
+
+def _print_closed(title: str, params: dict[str, Any], out: dict[str, Any]) -> None:
+    r = out["points"][0]
+    print(
+        format_table(
+            ["quantity", "value"],
+            [
+                ["conflicts", r["conflicts"]],
+                ["committed", r["committed"]],
+                ["mean occupancy", f"{r['mean_occupancy']:.1f}"],
+                ["expected occupancy", f"{r['expected_occupancy']:.1f}"],
+                ["actual concurrency", f"{r['actual_concurrency']:.2f}"],
+            ],
+            title=title,
+        )
+    )
+
+
+def _print_fig5(title: str, params: dict[str, Any], out: dict[str, Any]) -> None:
+    series = {
+        f"N={n}": [float(r["conflicts"]) for r in out["points"] if r["n_entries"] == n]
+        for n in params["n_values"]
+    }
+    print(format_series("W", params["w_values"], series, title=title))
+
+
+def _print_fig7(title: str, params: dict[str, Any], out: dict[str, Any]) -> None:
+    _print_series(title, params, out)
+    rows = [
+        [label] + [totals[t] for t in out["tables"]]
+        for label, totals in out["false_conflicts_by_table"].items()
+    ]
+    print(format_table(["false conflicts"] + list(out["tables"]), rows))
+
+
+class _Figure(NamedTuple):
+    """One figure subcommand: the sweep kind it runs and how it is spelled.
+
+    ``flags`` are ``(flag, param, help)`` triples: a flag's type, default
+    and required-ness come from the kind's
+    :class:`~repro.sim.catalog.ParamSpec` for ``param``, and a flag for
+    an ``int_list`` param passes one value.  ``title`` is formatted with
+    the validated params and ``seed``; ``fixed`` params have no flag.
+    """
+
+    kind: str
+    help: str
+    flags: tuple[tuple[str, str, Optional[str]], ...]
+    title: str
+    printer: Callable[[str, dict[str, Any], dict[str, Any]], None] = _print_series
+    fixed: Mapping[str, Any] = {}
+
+
+FIGURES = {
+    "fig2a": _Figure(
+        "fig2a", "trace-driven alias likelihood vs footprint (Figure 2a)",
+        (("--samples", "samples", None), ("--threads", "threads", None),
+         ("--accesses", "accesses", None)),
+        "Figure 2(a): alias likelihood (%), C=2, seed={seed}",
+    ),
+    "fig3": _Figure(
+        "fig3", "HTM overflow characterization (Figure 3)",
+        (("--traces", "traces", "traces per benchmark"),
+         ("--victim", "victim", "victim-buffer entries")),
+        "Figure 3: overflow characterization (victim={victim}, seed={seed})",
+        _print_fig3,
+    ),
+    "fig4a": _Figure(
+        "fig4a", "open-system conflict likelihood (Figure 4a)",
+        (("--samples", "samples", None),),
+        "Figure 4(a): conflict likelihood (%), C=2, seed={seed}",
+    ),
+    "closed": _Figure(
+        "closed", "one closed-system run (Figures 5-6 protocol)",
+        (("--n", "n_values", None), ("--c", "c_values", None),
+         ("--w", "w_values", None), ("--alpha", "alpha", None)),
+        "Closed system: N={n_values[0]}, C={c_values[0]}, W={w_values[0]}, seed={seed}",
+        _print_closed,
+    ),
+    "fig5": _Figure(
+        "closed", "closed-system conflicts vs footprint sweep (Figure 5a)",
+        (("--c", "c_values", "concurrency C (default 2)"),
+         ("--alpha", "alpha", "reads per write (default 2)")),
+        "Figure 5(a): closed-system conflicts, C={c_values[0]}, seed={seed}",
+        _print_fig5,
+        fixed={"n_values": [1024, 4096, 16384], "w_values": [8, 12, 16, 20]},
+    ),
+    "placement": _Figure(
+        "placement",
+        "allocator-placement false-conflict sensitivity sweep (Dice et al.)",
+        (("--samples", "samples", None),
+         ("--w", "w", "write footprint W (default 8)"),
+         ("--objects", "objects", "objects per thread (default 512)"),
+         ("--skew", "skew", "Zipf skew (default 1.2)")),
+        "Placement sensitivity: false conflicts (%), W={w}, seed={seed}",
+    ),
+    "fig7": _Figure(
+        "fig7", "tagless vs tagged ownership-table A/B on identical streams (Figure 7)",
+        (("--rounds", "rounds", "replay rounds per point"),
+         ("--placement", "placement", "allocator placement preset (default slab)"),
+         ("--hash", "hash_kind", "hash kind for both tables (default mask)"),
+         ("--c", "concurrency", "concurrency C (default 4)")),
+        "Figure 7: false conflicts by table, placement={placement}, seed={seed}",
+        _print_fig7,
+    ),
+}
+
+_FLAG_TYPES = {"int": int, "int_list": int, "float": float, "checked_str": str}
+
+
+def _add_figure_parser(sub: Any, name: str, figure: _Figure) -> None:
+    """Add one figure subcommand, its flags typed by the kind's params.
+
+    An omitted flag stays out of the namespace, so the kind's own
+    default applies.  A number's metavar is the flag's name (``--c C``),
+    a string's is the param's (``--hash HASH_KIND``).
+    """
+    p = sub.add_parser(name, help=figure.help, argument_default=argparse.SUPPRESS)
+    specs = {spec.name: spec for spec in SWEEP_KINDS[figure.kind].params}
+    for flag, param, help_text in figure.flags:
+        spec = specs[param]
+        p.add_argument(
+            flag, dest=param, type=_FLAG_TYPES[spec.kind], help=help_text,
+            required=spec.default is None,
+            metavar=None if spec.kind == "checked_str" else flag[2:].upper(),
+        )
+    _add_jobs_flag(p)
+    p.add_argument(
+        "--cluster", type=_jobs_arg, default=None, metavar="N",
+        help="distribute the sweep over N in-process cluster workers (default: off)",
+    )
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    """Validate the flags through the figure's sweep kind, run it, print it.
+
+    The kind's schema and checks give the same messages as
+    ``POST /v1/sweeps``, and :meth:`SweepKind.run` executes serially,
+    on the process pool, or across in-process cluster workers.
+    """
+    figure = FIGURES[args.command]
+    kind = SWEEP_KINDS[figure.kind]
+    specs = {spec.name: spec for spec in kind.params}
+    raw = dict(figure.fixed)
+    for _, param, _ in figure.flags:
+        if hasattr(args, param):
+            value = getattr(args, param)
+            raw[param] = [value] if specs[param].kind == "int_list" else value
+    params = kind.validate(raw)
+    sweep = kind.run(
+        params, args.seed, jobs=args.jobs, cluster=args.cluster,
+        progress=_progress_line,
+    )
+    if sweep.telemetry is not None:
+        print(f"[sweep] {sweep.telemetry.summary()}", file=sys.stderr)
+    title = figure.title.format(**params, seed=args.seed)
+    figure.printer(title, params, kind.assemble(params, sweep))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,81 +309,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, default=2, help="concurrency C (default 2)")
     p.add_argument("--alpha", type=float, default=2.0, help="reads per write (default 2)")
 
-    p = sub.add_parser("sizing", help="invert Eq. 8: table size for a commit target")
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--commit", type=float, required=True, help="target commit probability")
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=2.0)
+    for name, help_text in (
+        ("sizing", "invert Eq. 8: table size for a commit target"),
+        ("capacity", "smallest power-of-two table for a commit target"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--w", type=int, required=True)
+        p.add_argument("--commit", type=float, required=True, help="target commit probability")
+        p.add_argument("--c", type=int, default=2)
+        p.add_argument("--alpha", type=float, default=2.0)
 
-    p = sub.add_parser(
-        "capacity", help="smallest power-of-two table for a commit target"
-    )
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--commit", type=float, required=True, help="target commit probability")
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=2.0)
-
-    p = sub.add_parser("fig2a", help="trace-driven alias likelihood vs footprint (Figure 2a)")
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--accesses", type=int, default=100_000)
-    _add_jobs_flag(p)
-    _add_cluster_flag(p)
-
-    p = sub.add_parser("fig3", help="HTM overflow characterization (Figure 3)")
-    p.add_argument("--traces", type=int, default=5, help="traces per benchmark")
-    p.add_argument("--victim", type=int, default=0, help="victim-buffer entries")
-    _add_jobs_flag(p)
-    _add_cluster_flag(p)
-
-    p = sub.add_parser("fig4a", help="open-system conflict likelihood (Figure 4a)")
-    p.add_argument("--samples", type=int, default=2000)
-    _add_jobs_flag(p)
-    _add_cluster_flag(p)
-
-    p = sub.add_parser("closed", help="one closed-system run (Figures 5-6 protocol)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--w", type=int, default=10)
-    p.add_argument("--alpha", type=int, default=2)
-    _add_jobs_flag(p)
-    _add_cluster_flag(p)
-
-    p = sub.add_parser("fig5", help="closed-system conflicts vs footprint sweep (Figure 5a)")
-    p.add_argument("--c", type=int, default=2, help="concurrency C (default 2)")
-    p.add_argument("--alpha", type=int, default=2, help="reads per write (default 2)")
-    _add_jobs_flag(p)
-    _add_cluster_flag(p)
-
-    p = sub.add_parser(
-        "placement",
-        help="allocator-placement false-conflict sensitivity sweep (Dice et al.)",
-    )
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--w", type=int, default=8, help="write footprint W (default 8)")
-    p.add_argument(
-        "--objects", type=int, default=512, help="objects per thread (default 512)"
-    )
-    p.add_argument("--skew", type=float, default=1.2, help="Zipf skew (default 1.2)")
-    _add_jobs_flag(p)
-    _add_cluster_flag(p)
-
-    p = sub.add_parser(
-        "fig7",
-        help="tagless vs tagged ownership-table A/B on identical streams (Figure 7)",
-    )
-    p.add_argument("--rounds", type=int, default=60, help="replay rounds per point")
-    p.add_argument(
-        "--placement", type=str, default="slab",
-        help="allocator placement preset (default slab)",
-    )
-    p.add_argument(
-        "--hash", dest="hash_kind", type=str, default="mask",
-        help="hash kind for both tables (default mask)",
-    )
-    p.add_argument("--c", type=int, default=4, help="concurrency C (default 4)")
-    _add_jobs_flag(p)
-    _add_cluster_flag(p)
+    for name, figure in FIGURES.items():
+        _add_figure_parser(sub, name, figure)
 
     p = sub.add_parser("birthday", help="classical birthday-paradox numbers")
     p.add_argument("--target", type=float, default=0.5, help="collision probability target")
@@ -359,10 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cluster lease ttl; stealing kicks in at half of it (default 10)",
     )
     e.add_argument(
-        "--chunk-target-seconds", type=float, default=2.0, metavar="SECONDS",
-        help="adaptive chunk sizing target per lease (default 2)",
-    )
-    e.add_argument(
         "--crash-after", type=_jobs_arg, default=None, metavar="N",
         help="fault injection: interrupt the run after N computed chunks",
     )
@@ -457,160 +558,6 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         f"({pow2 * 8 / (1 << 20):.1f} MiB at 8 B/entry), which achieves "
         f"commit probability {1.0 - float(raw):.4%}."
     )
-    return 0
-
-
-def _run_kind(kind_name: str, raw_params: Mapping[str, Any],
-              args: argparse.Namespace) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Validate the CLI flags through a sweep kind, run and assemble it.
-
-    One code path for every figure subcommand: the kind's schema gives
-    the same messages as ``POST /v1/sweeps``, and :meth:`SweepKind.run`
-    executes serially, on the process pool, or across in-process
-    cluster workers.  Returns the normalized params and the assembled
-    result.
-    """
-    kind = SWEEP_KINDS[kind_name]
-    params = kind.validate(raw_params)
-    sweep = kind.run(
-        params, args.seed, jobs=args.jobs, cluster=args.cluster,
-        progress=_progress_line,
-    )
-    if sweep.telemetry is not None:
-        print(f"[sweep] {sweep.telemetry.summary()}", file=sys.stderr)
-    return params, kind.assemble(params, sweep)
-
-
-def _cmd_fig2a(args: argparse.Namespace) -> int:
-    _, out = _run_kind(
-        "fig2a",
-        {"samples": args.samples, "threads": args.threads,
-         "accesses": args.accesses},
-        args,
-    )
-    print(format_series("W", out["w_values"], out["series"],
-                        title=f"Figure 2(a): alias likelihood (%), C=2, seed={args.seed}"))
-    return 0
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    _, out = _run_kind(
-        "fig3",
-        {"traces": args.traces, "victim": args.victim},
-        args,
-    )
-    rows = [
-        [
-            r["bench"],
-            round(r["mean_write_blocks"]),
-            round(r["mean_read_blocks"]),
-            f"{r['mean_utilization']:.0%}",
-            f"{r['mean_instructions'] / 1e3:.1f}K",
-        ]
-        for r in out["points"]
-    ]
-    print(
-        format_table(
-            ["bench", "writes", "reads", "util", "instr"],
-            rows,
-            title=f"Figure 3: overflow characterization (victim={args.victim}, seed={args.seed})",
-        )
-    )
-    return 0
-
-
-def _cmd_fig4a(args: argparse.Namespace) -> int:
-    _, out = _run_kind("fig4a", {"samples": args.samples}, args)
-    print(format_series("W", out["w_values"], out["series"],
-                        title=f"Figure 4(a): conflict likelihood (%), C=2, seed={args.seed}"))
-    return 0
-
-
-def _cmd_closed(args: argparse.Namespace) -> int:
-    # Validate up front (ClosedSystemConfig.__post_init__) so bad
-    # parameters fail with a clean message in every execution mode,
-    # not as a SweepFailure deep inside a worker.
-    ClosedSystemConfig(
-        n_entries=args.n,
-        concurrency=args.c,
-        write_footprint=args.w,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
-    _, out = _run_kind(
-        "closed",
-        {"n_values": [args.n], "c_values": [args.c], "w_values": [args.w],
-         "alpha": args.alpha},
-        args,
-    )
-    r = out["points"][0]
-    print(
-        format_table(
-            ["quantity", "value"],
-            [
-                ["conflicts", r["conflicts"]],
-                ["committed", r["committed"]],
-                ["mean occupancy", f"{r['mean_occupancy']:.1f}"],
-                ["expected occupancy", f"{r['expected_occupancy']:.1f}"],
-                ["actual concurrency", f"{r['actual_concurrency']:.2f}"],
-            ],
-            title=f"Closed system: N={args.n}, C={args.c}, W={args.w}, seed={args.seed}",
-        )
-    )
-    return 0
-
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    w_values = [8, 12, 16, 20]
-    n_values = [1024, 4096, 16384]
-    ClosedSystemConfig(n_entries=n_values[0], concurrency=args.c, alpha=args.alpha)
-    _, out = _run_kind(
-        "closed",
-        {"n_values": n_values, "c_values": [args.c], "w_values": w_values,
-         "alpha": args.alpha},
-        args,
-    )
-    series = {
-        f"N={n}": [float(r["conflicts"]) for r in out["points"] if r["n_entries"] == n]
-        for n in n_values
-    }
-    print(format_series("W", w_values, series,
-                        title=f"Figure 5(a): closed-system conflicts, C={args.c}, seed={args.seed}"))
-    return 0
-
-
-def _cmd_placement(args: argparse.Namespace) -> int:
-    params, out = _run_kind(
-        "placement",
-        {"samples": args.samples, "w": args.w, "objects": args.objects,
-         "skew": args.skew},
-        args,
-    )
-    print(format_series(
-        "N", out["n_values"], out["series"],
-        title=f"Placement sensitivity: false conflicts (%), "
-        f"W={params['w']}, seed={args.seed}",
-    ))
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    params, out = _run_kind(
-        "fig7",
-        {"rounds": args.rounds, "placement": args.placement,
-         "hash_kind": args.hash_kind, "concurrency": args.c},
-        args,
-    )
-    print(format_series(
-        "W", out["w_values"], out["series"],
-        title=f"Figure 7: false conflicts by table, "
-        f"placement={params['placement']}, seed={args.seed}",
-    ))
-    rows = [
-        [label] + [totals[t] for t in out["tables"]]
-        for label, totals in out["false_conflicts_by_table"].items()
-    ]
-    print(format_table(["false conflicts"] + list(out["tables"]), rows))
     return 0
 
 
@@ -803,7 +750,6 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
                 cluster=args.cluster,
                 figures=figures,
                 lease_ttl=args.lease_ttl,
-                chunk_target_seconds=args.chunk_target_seconds,
                 crash_after_chunks=args.crash_after,
                 elastic_depart_after=args.elastic_depart_after,
                 elastic_join_after=args.elastic_join_after,
@@ -848,13 +794,7 @@ _HANDLERS = {
     "model": _cmd_model,
     "sizing": _cmd_sizing,
     "capacity": _cmd_capacity,
-    "fig2a": _cmd_fig2a,
-    "fig3": _cmd_fig3,
-    "fig4a": _cmd_fig4a,
-    "fig5": _cmd_fig5,
-    "fig7": _cmd_fig7,
-    "placement": _cmd_placement,
-    "closed": _cmd_closed,
+    **{name: _cmd_figure for name in FIGURES},
     "birthday": _cmd_birthday,
     "serve": _cmd_serve,
     "loadgen": _cmd_loadgen,

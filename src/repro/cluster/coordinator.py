@@ -31,6 +31,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
+from functools import partial
 from http import HTTPStatus
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
@@ -329,8 +330,9 @@ class Coordinator(JsonHttpServer):
         if self.cache is None:
             return
         for chunk in chunks:
-            hit, cached = self.cache.lookup(self._chunk_key(chunk))
-            if not (hit and self._sink.fill_cached(chunk.start, chunk.count, cached)):
+            hit, _ = self.cache.lookup(self._chunk_key(chunk), accept=partial(
+                self._sink.fill_cached, chunk.start, chunk.count))
+            if not hit:
                 continue
             self.leases.mark_done(chunk.index)
             self._cache_hits += 1

@@ -42,7 +42,7 @@ from repro.cluster.coordinator import CoordinatorConfig, run_sweep_cluster
 from repro.cluster.protocol import chunk_grid
 from repro.experiments.artifact import write_artifact
 from repro.experiments.manifest import RunManifest
-from repro.experiments.sizing import DEFAULT_TARGET_SECONDS, ChunkSizer
+from repro.experiments.sizing import ChunkSizer
 from repro.experiments.specs import EXPERIMENTS, QUALITIES, ExperimentSpec
 from repro.service.cache import ResultCache
 from repro.sim.catalog import SWEEP_KINDS
@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 CACHE_DIR = "cache"
+# Wall-clock cap on one cluster figure.
+FIGURE_TIMEOUT = 600.0
 
 
 class ExperimentInterrupted(Exception):
@@ -122,10 +124,6 @@ class ExperimentsConfig:
         Subset of figure ids to run; ``None`` runs all of them.
     lease_ttl:
         Cluster lease ttl; work stealing kicks in at half of it.
-    chunk_target_seconds:
-        Adaptive sizing target per lease.
-    figure_timeout:
-        Per-figure wall-clock cap for cluster runs.
     crash_after_chunks:
         Deterministic interrupt: raise
         :class:`ExperimentInterrupted` after this many *computed*
@@ -146,8 +144,6 @@ class ExperimentsConfig:
     cluster: Optional[int] = None
     figures: Optional[Sequence[str]] = None
     lease_ttl: float = 10.0
-    chunk_target_seconds: float = DEFAULT_TARGET_SECONDS
-    figure_timeout: float = 600.0
     crash_after_chunks: Optional[int] = None
     elastic_depart_after: Optional[int] = None
     elastic_join_after: Optional[float] = None
@@ -256,7 +252,7 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
         _log("resuming from existing manifest")
     manifest.complete = False
     cache = _CheckpointCache(cfg)
-    sizer = ChunkSizer(cfg.chunk_target_seconds)
+    sizer = ChunkSizer()
     workers = cfg.cluster if cfg.cluster is not None else (cfg.jobs or 1)
     depart_after = cfg.elastic_depart_after
     join_after = cfg.elastic_join_after
@@ -303,7 +299,7 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
                         lease_ttl=cfg.lease_ttl, chunk_size=chunk_size,
                         steal_min_age=cfg.lease_ttl / 2,
                     ),
-                    cache=cache, timeout=cfg.figure_timeout,
+                    cache=cache, timeout=FIGURE_TIMEOUT,
                     frame=kind.make_frame(params),
                     depart_after=depart_after, join_after=join_after,
                 )
@@ -311,8 +307,8 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
                 stolen = sweep.telemetry.leases_stolen
                 cluster_workers = max(1, sweep.telemetry.workers)
         wall = time.perf_counter() - started
-        # Count stores, not lookup hits: an entry of the wrong shape is a
-        # lookup hit that the sink refuses, so it is recomputed and stored.
+        # Every chunk the cache does not serve (an entry of the wrong shape
+        # included) is computed and stored once, in every mode.
         computed = cache.computed - computed_before
         if sweep is not None:
             if computed:

@@ -169,7 +169,9 @@ class ResultCache:
         # Shard by prefix so huge caches do not pile one directory high.
         return self.disk_dir / key[:2] / f"{key}{suffix}"
 
-    def lookup(self, key: str) -> tuple[bool, Optional[Any]]:
+    def lookup(
+        self, key: str, accept: Optional[Callable[[Any], bool]] = None,
+    ) -> tuple[bool, Optional[Any]]:
         """Look up a key; returns ``(hit, value)``.
 
         The flag distinguishes a genuine miss from a cached ``None``
@@ -177,21 +179,30 @@ class ResultCache:
         perfectly valid cached value).  A disk hit promotes the value
         into the memory tier (evicting LRU entries as needed) so repeat
         traffic stays off the disk.
+
+        ``accept``, called outside the lock, may refuse a found value
+        (a chunk entry of the wrong shape, say): the lookup then counts
+        as a miss and drops the value from the memory tier.
         """
         with self._lock:
-            if key in self._memory:
+            from_disk = key not in self._memory
+            if not from_disk:
                 self._memory.move_to_end(key)
-                self._hits += 1
-                self._memory_hits += 1
-                return True, self._memory[key]
-        hit, value = self._disk_lookup(key)
+                value = self._memory[key]
+        hit, value = self._disk_lookup(key) if from_disk else (True, value)
+        refused = hit and accept is not None and not accept(value)
         with self._lock:
-            if not hit:
+            if refused and key in self._memory and self._memory[key] is value:
+                del self._memory[key]
+            if refused or not hit:
                 self._misses += 1
                 return False, None
             self._hits += 1
-            self._disk_hits += 1
-            self._memory_put(key, value)
+            if from_disk:
+                self._disk_hits += 1
+                self._memory_put(key, value)
+            else:
+                self._memory_hits += 1
             return True, value
 
     def put(self, key: str, value: Any) -> None:

@@ -112,6 +112,19 @@ def _new_column(dtype: str, capacity: int) -> np.ndarray:
     return np.full(capacity, None, dtype=object)  # str
 
 
+# The Python types each column accepts on fill; ``bool`` never passes.
+_CELL_TYPES = {"f8": (int, float), "i8": int, "str": str}
+
+
+def _refuse_mistyped(field: str, dtype: str, values: Iterable[Any]) -> None:
+    """Raise :class:`TypeError` unless every value is native to ``dtype``,
+    where numpy would coerce ``None`` to NaN, ``"1.5"`` to 1.5, ``True`` to 1."""
+    accepted = _CELL_TYPES[dtype]
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise TypeError(f"field {field!r} ({dtype}) refuses {value!r}")
+
+
 def _native(dtype: str, value: Any) -> Any:
     """A column cell as the native Python value the point returned."""
     if dtype == "f8":
@@ -160,26 +173,15 @@ class SweepFrame:
             prefix += 1
         self._prefix = prefix
 
-    def _fill_one_locked(self, index: int, point: Mapping[str, Any],
-                         outcome: Any) -> None:
-        for f in self.schema.axes:
-            self._axis_cols[f.name][index] = point[f.name]
-        if self.schema.scalar:
-            self._value_col[index] = outcome
-        else:
-            for f in self.schema.fields:
-                self._field_cols[f.name][index] = outcome[f.name]
-        if not self._filled[index]:
-            self._filled[index] = True
-            self._n_filled += 1
-
     def fill(self, index: int, point: Mapping[str, Any], outcome: Any) -> None:
-        """Record one settled point at its grid index (idempotent)."""
+        """Record one settled point at its grid index (idempotent).
+
+        A chunk of one for :meth:`fill_many`, so it refuses the same
+        outcomes and writes nothing when it does.
+        """
         if not 0 <= index < self.capacity:
             raise IndexError(f"index {index} outside frame of {self.capacity} points")
-        with self._lock:
-            self._fill_one_locked(index, point, outcome)
-            self._advance_prefix()
+        self.fill_many(index, [point], [outcome])
 
     def fill_many(self, start: int, points: Sequence[Mapping[str, Any]],
                   outcomes: Sequence[Any]) -> None:
@@ -187,7 +189,9 @@ class SweepFrame:
 
         The chunk append path the parallel engine and the cluster
         coordinator use: one slice assignment per column instead of
-        per-row dict traffic.
+        per-row dict traffic.  An ``f8`` outcome column takes only int
+        or float, an ``i8`` one only int, a ``str`` one only str (never
+        bool); anything else raises :class:`TypeError`.
         """
         if len(points) != len(outcomes):
             raise ValueError(
@@ -205,10 +209,13 @@ class SweepFrame:
         updates = [(self._axis_cols[f.name], [p[f.name] for p in points])
                    for f in self.schema.axes]
         if self.schema.scalar:
+            _refuse_mistyped("value", "f8", outcomes)
             updates.append((self._value_col, outcomes))
         else:
-            updates += [(self._field_cols[f.name], [o[f.name] for o in outcomes])
-                        for f in self.schema.fields]
+            for f in self.schema.fields:
+                values = [o[f.name] for o in outcomes]
+                _refuse_mistyped(f.name, f.dtype, values)
+                updates.append((self._field_cols[f.name], values))
         columns = [(col, np.asarray(values, dtype=col.dtype)) for col, values in updates]
         with self._lock:
             for col, values in columns:

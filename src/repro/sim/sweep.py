@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.util.rng import point_seed
@@ -291,8 +292,9 @@ def run_grid(
         chunks, missing = missing, []
         for chunk in chunks:
             keys[chunk] = chunk_cache_key(task, rows[chunk.start:chunk.stop])
-            hit, outcomes = cache.lookup(keys[chunk])
-            if not (hit and sink.fill_cached(chunk.start, chunk.count, outcomes)):
+            hit, _ = cache.lookup(keys[chunk], accept=partial(
+                sink.fill_cached, chunk.start, chunk.count))
+            if not hit:
                 missing.append(chunk)
 
     def settle(chunk: Any, outcomes: list[Any]) -> None:

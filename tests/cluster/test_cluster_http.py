@@ -335,8 +335,10 @@ class TestProtocolFaults:
 
 
 class TestMalformedResult:
-    def test_malformed_chunk_is_rejected_and_dispatched_again(self):
-        """Outcomes missing a schema field 400 and leave the chunk leased."""
+    @pytest.mark.parametrize("bad", [{"w": 2}, None, "1.5", True],
+                             ids=["record", "null", "str", "bool"])
+    def test_malformed_chunk_is_rejected_and_dispatched_again(self, bad):
+        """Outcomes a float column refuses 400 and leave the chunk leased."""
         kind = SWEEP_KINDS["fig4a"]
         params = kind.validate({"n_values": [64, 128, 256], "w_values": [2, 4],
                                 "samples": 25})
@@ -361,7 +363,7 @@ class TestMalformedResult:
                         "run_id": coordinator.run_id,
                         "chunk_index": chunk["index"],
                         "ok": True,
-                        "outcomes": [{"w": 2}] * (chunk["stop"] - chunk["start"]),
+                        "outcomes": [bad] * (chunk["stop"] - chunk["start"]),
                     },
                 )
                 assert status == 400 and "do not fit" in error["error"]

@@ -140,7 +140,27 @@ class TestWrongShapeCacheEntries:
     chunk alone, stores it again, and writes the clean run's artifact.
     """
 
-    WRONG = {"int": 5, "null": None, "str": "s", "dict": {"a": 1}, "short": "short"}
+    WRONG = {"int": 5, "null": None, "str": "s", "dict": {"a": 1}, "short": "short",
+             "nulls": "nulls", "mistyped": "mistyped"}
+
+    @staticmethod
+    def wrong_value(wrong, outcomes):
+        """The entry to write: a fixed value, or one built from the clean entry.
+
+        ``nulls`` and ``mistyped`` keep the entry's length; a frame
+        would have read them as NaN, 1.5 and 1.0 if it coerced.
+        """
+        if wrong == "short":
+            return outcomes[:-1]
+        if wrong == "nulls":
+            return [None] * len(outcomes)
+        if wrong == "mistyped":
+            if isinstance(outcomes[0], dict):  # a record: bool, str and null fields
+                first = {**outcomes[0], "traces_fit": True, "traces_overflowed": "3",
+                         "mean_utilization": None}
+                return [first] + outcomes[1:]
+            return ["1.5" if i % 2 else True for i in range(len(outcomes))]
+        return TestWrongShapeCacheEntries.WRONG[wrong]
 
     @pytest.fixture(scope="class")
     def clean(self, tmp_path_factory):
@@ -170,7 +190,7 @@ class TestWrongShapeCacheEntries:
         out = tmp_path / "run"
         shutil.copytree(source, out)
         path, outcomes = self.chunk_entry(out, figure)
-        value = outcomes[:-1] if wrong == "short" else self.WRONG[wrong]
+        value = self.wrong_value(wrong, outcomes)
         path.write_text(json.dumps(value))
         resumed = run_experiments(smoke_cfg(out, figures=(figure,), **mode))
         (tele,) = resumed.figures
@@ -185,6 +205,25 @@ class TestWrongShapeCacheEntries:
 
     def test_cluster_resume_recomputes_the_chunk(self, clean, tmp_path):
         self.resume_corrupted(clean, tmp_path, "fig3", "dict", cluster=2)
+
+    def test_cluster_resume_recomputes_a_mistyped_chunk(self, clean, tmp_path):
+        self.resume_corrupted(clean, tmp_path, "fig3", "mistyped", cluster=2)
+
+    def test_refused_entry_counts_as_a_cache_miss(self, clean, tmp_path, monkeypatch):
+        from repro.experiments import runner
+
+        caches = []
+
+        class Recording(runner._CheckpointCache):
+            def __init__(self, cfg):
+                super().__init__(cfg)
+                caches.append(self)
+
+        monkeypatch.setattr(runner, "_CheckpointCache", Recording)
+        self.resume_corrupted(clean, tmp_path, "fig4a", "int")
+        (cache,) = caches
+        stats = cache.stats()
+        assert (stats.hits, stats.disk_hits, stats.misses) == (3, 3, 1)
 
 
 class TestElasticCluster:

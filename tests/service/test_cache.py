@@ -218,6 +218,51 @@ class TestDiskTier:
         assert fresh.lookup("cafe") == (False, None)
 
 
+class TestAccept:
+    """A value the caller's ``accept`` refuses is a miss, in both tiers."""
+
+    def test_refused_memory_value_is_a_miss_and_dropped(self):
+        cache = ResultCache(capacity=4)
+        cache.put("k", 5)
+        assert cache.lookup("k", accept=lambda v: isinstance(v, list)) == (False, None)
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (0, 1)
+        assert len(cache) == 0
+
+    def test_refused_disk_value_is_a_miss_and_not_promoted(self, tmp_path):
+        ResultCache(capacity=4, disk_dir=tmp_path / "cache").put("k", 5)
+        fresh = ResultCache(capacity=4, disk_dir=tmp_path / "cache")
+        assert fresh.lookup("k", accept=lambda v: False) == (False, None)
+        stats = fresh.stats()
+        assert (stats.hits, stats.disk_hits, stats.misses) == (0, 0, 1)
+        assert len(fresh) == 0
+        # The disk copy stays until the caller overwrites it.
+        assert fresh.lookup("k") == (True, 5)
+
+    def test_accepted_value_is_a_hit(self, tmp_path):
+        seen = []
+        cache = ResultCache(capacity=4, disk_dir=tmp_path / "cache")
+        cache.put("k", [1, 2])
+        accept = lambda v: seen.append(v) is None  # noqa: E731
+        assert cache.lookup("k", accept=accept) == (True, [1, 2])
+        fresh = ResultCache(capacity=4, disk_dir=tmp_path / "cache")
+        assert fresh.lookup("k", accept=accept) == (True, [1, 2])
+        assert seen == [[1, 2], [1, 2]]
+        assert (fresh.stats().disk_hits, len(fresh)) == (1, 1)
+
+    def test_accept_is_not_called_on_a_miss(self):
+        cache = ResultCache(capacity=4)
+        assert cache.lookup("absent", accept=lambda v: pytest.fail("called")) == (
+            False, None)
+
+    def test_accept_runs_outside_the_lock(self):
+        cache = ResultCache(capacity=4)
+        cache.put("k", 1)
+        # A predicate that itself uses the cache would deadlock if it
+        # ran under the cache's lock.
+        assert cache.lookup("k", accept=lambda v: cache.stats().hits == 0) == (True, 1)
+
+
 class TestGzipDiskTier:
     def big(self):
         # Repetitive JSON well past GZIP_DISK_THRESHOLD — the shape of a

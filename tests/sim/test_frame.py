@@ -137,6 +137,78 @@ class TestFill:
         assert np.isnan(frame.column("rate")).all()
 
 
+class TestMistypedOutcomes:
+    """A column takes only its native Python type; numpy must not coerce.
+
+    ``f8`` takes int or float, ``i8`` takes int, ``str`` takes str, and
+    no column takes a bool.  A refused fill raises :class:`TypeError`
+    and writes nothing, in both fill paths.
+    """
+
+    RECORD_POINT = {"bench": "gzip", "n": 256}
+    GOOD_RECORD = {"bench": "gzip", "rate": 0.5, "hits": 3}
+
+    @pytest.mark.parametrize("value", [None, "1.5", True, False, [1.0], np.bool_(True)])
+    def test_scalar_column_refuses(self, value):
+        frame = SweepFrame(SCALAR, 2)
+        with pytest.raises(TypeError, match="'value'"):
+            frame.fill_many(0, [{"n": 1, "w": 1}, {"n": 2, "w": 1}], [0.5, value])
+        with pytest.raises(TypeError, match="'value'"):
+            frame.fill(1, {"n": 2, "w": 1}, value)
+        assert frame.filled_count == 0
+        assert np.isnan(frame.column("value")).all()
+
+    @pytest.mark.parametrize("field,value", [
+        ("rate", None), ("rate", "0.5"), ("rate", True),
+        ("hits", None), ("hits", "3"), ("hits", True), ("hits", 3.0),
+        ("bench", None), ("bench", 5), ("bench", True),
+    ])
+    def test_record_columns_refuse(self, field, value):
+        frame = SweepFrame(RECORD, 1)
+        outcome = {**self.GOOD_RECORD, field: value}
+        with pytest.raises(TypeError, match=repr(field)):
+            frame.fill_many(0, [self.RECORD_POINT], [outcome])
+        with pytest.raises(TypeError, match=repr(field)):
+            frame.fill(0, self.RECORD_POINT, outcome)
+        assert frame.filled_count == 0
+        assert list(frame.column("bench")) == [None]
+        assert list(frame.column("n")) == [0]
+
+    def test_native_numbers_pass(self):
+        frame = SweepFrame(RECORD, 2)
+        points = [self.RECORD_POINT, {"bench": "mcf", "n": 512}]
+        # An int is a valid f8 value; a float subclass (numpy's) too.
+        outcomes = [{**self.GOOD_RECORD, "rate": 1},
+                    {"bench": "mcf", "rate": np.float64(0.25), "hits": 0}]
+        frame.fill_many(0, points, outcomes)
+        assert list(frame.column("rate")) == [1.0, 0.25]
+
+    def test_closed_record_with_mistyped_fields_is_refused(self):
+        from repro.sim.catalog import SWEEP_KINDS
+
+        kind = SWEEP_KINDS["closed"]
+        params = kind.validate({"n_values": [64]})
+        frame = kind.make_frame(params)
+        (point,) = kind.grid(params)
+        record = {**point, "conflicts": True, "committed": "3", "mean_occupancy": None,
+                  "expected_occupancy": 1.0, "actual_concurrency": 1.0}
+        with pytest.raises(TypeError):
+            frame.fill(0, point, record)
+        assert frame.filled_count == 0
+
+    @pytest.mark.parametrize("outcomes", [[None, None], ["1.5", True]])
+    def test_sink_refuses_a_mistyped_cache_entry(self, outcomes):
+        from repro.sim.catalog import SWEEP_KINDS
+        from repro.sim.sweep import SweepSink
+
+        kind = SWEEP_KINDS["fig4a"]
+        params = kind.validate({"n_values": [512], "w_values": [4, 8]})
+        sink = SweepSink(kind.grid(params), kind.make_frame(params))
+        assert sink.fill_cached(0, 2, outcomes) is False
+        assert sink.frame.filled_count == 0
+        assert sink.fill_cached(0, 2, [12.5, 40]) is True
+
+
 class TestRowViews:
     def test_native_types_round_trip(self):
         frame = SweepFrame(RECORD, 1)

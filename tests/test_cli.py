@@ -2,9 +2,86 @@
 
 from __future__ import annotations
 
+import hashlib
+import http.client
+import json
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main, version_string
+
+# SHA-256 of ``repro <path> --help`` at COLUMNS=80, as Python 3.11's
+# argparse lays it out.  The figure subcommands build their flags from
+# the sweep-kind table; these pins keep that table's help byte-identical
+# to the hand-written parser it replaced.
+HELP_DIGESTS = {
+    (): "4628edd2bbe04b05bed49427b6fcaffc177e140fab6973108a6de1d15d51afd2",
+    ("birthday",): "1eb470c4ef8905a9b7be5c7d535ab0063bf2f93bec181ceb8164a99ef09c24c6",
+    ("capacity",): "841dc722bc7b8af6762c5a3a2644e47ef201d97f0da443cf835423b5f9eb9a78",
+    ("closed",): "6fe083a0136fc9f509c57e59d8953d5b21707ba32cf25b414e5f584f7ca34d03",
+    ("cluster",): "f2b3d7c96a0d728e978199e332e0d187be90b01ba50e7748b14774cca4efe08d",
+    ("cluster", "coordinate"): "4c40e8ed2ef97b8bee2c5600221fd660e38244ac32927b0be500cb29458e260e",
+    ("cluster", "work"): "7cf3910c9dfc30799b3d978bb481c555bfc28869a2b677b8192e58b2e35e6124",
+    ("experiments",): "4fa8c90f01981f569847006ab0ce42e28d9e1b9f45f194f64497570095c2380d",
+    ("experiments", "list"): "60f1ea368938edb7236ad9a6c57d73089a6e2b1de9ea45f470cdc378521403a6",
+    # ``experiments run`` without ``--chunk-target-seconds``.
+    ("experiments", "run"): "29b148a9e90020e02d2492385f6d81308341d2ced5caf02a7f61c649a862fccc",
+    ("fig2a",): "a3acfbfebdfd6f9f18cce5373ab5148d7c2a628813a61fd4f0327825e6c036de",
+    ("fig3",): "ee71457b7c12a85da4f53169ffbae256b40f3290e596465ee33b62955bcd6ff7",
+    ("fig4a",): "91ab6426ee075435012bcb1cc123049a7ea3e00371e7f9d08d91f5bc5c87c3a4",
+    ("fig5",): "104b08a470329cc3f0836bf2effb36b3655243cf180d7dbf4887b14dc05c9186",
+    ("fig7",): "94b31476d42cda6aa3f739ee5136cde6c09429784f2c3b8c37db20a410eb5add",
+    ("loadgen",): "c8be69c09dc695c9952d2fe12a0ce701f40c05a66bf6f701775de7022fa60861",
+    ("model",): "e72432eee35b684e79881dd7e97a644caf7acb5f9917de9fdb001b4fa7aa9725",
+    ("placement",): "aef94f82c4c2b8423e135ad6b01134af1d53dbc1250561c31ef3c71611bc205f",
+    ("serve",): "f01d6fef62f1fb10fb61beb3b1aff6408cf704bc9d2f7c97ec6ed197421aa77b",
+    ("sizing",): "fb80328cc75aafed3b0e647a30b219357ad934165d27068a7b862a43cfcd9bea",
+}
+
+# Each figure subcommand at small args and ``--seed 3``, with every flag
+# it takes set off its default, and the SHA-256 of its stdout.
+FIGURE_RUNS = {
+    "fig2a": (["fig2a", "--samples", "20", "--threads", "3", "--accesses", "20000"],
+              "4949b21124c124288bade7eac1d6587e33664192b9e20a47c885bff084b57282"),
+    "fig3": (["fig3", "--traces", "1", "--victim", "2"],
+             "3a2b47ede336ec44315331b4bb39bf434aef3aa93c3ed252a7c03f6c5f0db230"),
+    "fig4a": (["fig4a", "--samples", "50"],
+              "87502d72c1e6437934c8b2263472e7de6a84781c86fd6c408f5395ccfe7af959"),
+    "closed": (["closed", "--n", "1024", "--c", "4", "--w", "8", "--alpha", "1"],
+               "f75b1a60869e04b6be648943a1c788d831c675f598b27c9581eb33bb6e093698"),
+    "fig5": (["fig5", "--c", "3", "--alpha", "1"],
+             "6cb0af838160efceeba78e6c66aa44caad8dcd114f3a9ce45a386f03ce3e3cf1"),
+    "placement": (["placement", "--samples", "20", "--w", "6", "--objects", "128",
+                   "--skew", "1.5"],
+                  "5a7a308ae23dc730767a6e1dd16b754922a324b22901d2c6fb828e7b8e9fbfae"),
+    "fig7": (["fig7", "--rounds", "6", "--placement", "bump", "--hash", "xorfold",
+              "--c", "3"],
+             "db123178ba0bcc9111fb1ca19b3be5b9dd4d82a116364f71994602f93cad1e8f"),
+}
+
+_FIG5_GRID = {"n_values": [1024, 4096, 16384], "w_values": [8, 12, 16, 20]}
+
+# Bad figure flags and the ``POST /v1/sweeps`` body that asks for the
+# same sweep: the CLI must refuse both with one message.
+BAD_FLAGS = [
+    (["closed", "--n", "1024", "--c", "0"],
+     {"kind": "closed", "params": {"n_values": [1024], "c_values": [0]}}),
+    (["closed", "--n", "1024", "--c", "64"],
+     {"kind": "closed", "params": {"n_values": [1024], "c_values": [64]}}),
+    (["closed", "--n", "1024", "--alpha", "2.5"],
+     {"kind": "closed", "params": {"n_values": [1024], "alpha": 2.5}}),
+    (["fig5", "--c", "64"],
+     {"kind": "closed", "params": {**_FIG5_GRID, "c_values": [64]}}),
+    (["fig7", "--hash", "nope"],
+     {"kind": "fig7", "params": {"hash_kind": "nope"}}),
+    (["placement", "--skew", "9"],
+     {"kind": "placement", "params": {"skew": 9.0}}),
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestParser:
@@ -425,3 +502,68 @@ class TestExperiments:
         ]
         assert main(argv) == 3
         assert "interrupted" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help digests are pinned as Python 3.11's argparse lays them out")
+class TestHelpPinned:
+    @pytest.mark.parametrize("path", sorted(HELP_DIGESTS), ids=lambda p: " ".join(p) or "repro")
+    def test_help_is_byte_identical(self, path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert _sha256(out) == HELP_DIGESTS[path], out
+
+    def test_every_subcommand_is_pinned(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        paths = {(name,) for name in sub.choices}
+        for name in ("cluster", "experiments"):
+            (nested,) = [a for a in sub.choices[name]._actions if a.choices]
+            paths |= {(name, child) for child in nested.choices}
+        assert paths | {()} == set(HELP_DIGESTS)
+
+
+class TestFigureStdoutPinned:
+    """Every figure subcommand prints the same bytes in every mode."""
+
+    @pytest.mark.parametrize("mode", [[], ["--jobs", "2"], ["--cluster", "2"]],
+                             ids=["serial", "jobs2", "cluster2"])
+    @pytest.mark.parametrize("name", sorted(FIGURE_RUNS))
+    def test_stdout_is_byte_identical(self, name, mode, capsys):
+        argv, digest = FIGURE_RUNS[name]
+        assert main(["--seed", "3", *argv, *mode]) == 0
+        out = capsys.readouterr().out
+        assert _sha256(out) == digest, out
+
+
+@pytest.fixture(scope="module")
+def service_port():
+    from repro.service import ServiceConfig, start_in_thread
+
+    svc = start_in_thread(ServiceConfig(port=0))
+    yield svc.port
+    svc.stop()
+
+
+class TestErrorParity:
+    """A bad figure flag fails with the message ``POST /v1/sweeps`` gives."""
+
+    @pytest.mark.parametrize("argv,body", BAD_FLAGS,
+                             ids=[" ".join(argv) for argv, _ in BAD_FLAGS])
+    def test_cli_error_is_the_service_400(self, argv, body, service_port, capsys):
+        conn = http.client.HTTPConnection("127.0.0.1", service_port, timeout=30)
+        try:
+            conn.request("POST", "/v1/sweeps", body=json.dumps(body),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            status, detail = response.status, json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert status == 400
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {detail}\n"
+        assert captured.out == ""
