@@ -10,6 +10,8 @@ edges the model algebra treats specially.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,11 @@ w_strategy = st.integers(min_value=0, max_value=500)
 n_strategy = st.integers(min_value=1, max_value=1 << 24)
 c_strategy = st.integers(min_value=1, max_value=64)
 alpha_strategy = st.floats(min_value=0.0, max_value=8.0)
+
+
+def _ids(cases):
+    """``(kwargs, exact ValueError text)`` cases, with ids ``kwargs0``, ``kwargs1``, ..."""
+    return [pytest.param(*case, id=f"kwargs{i}") for i, case in enumerate(cases)]
 
 
 class TestConflictBatch:
@@ -100,20 +107,21 @@ class TestConflictBatch:
         assert raw.shape == (3,)
         assert raw[1] == conflict_likelihood_batch(20, 4096)[0]
 
-    @pytest.mark.parametrize("kwargs", [
-        {"w": [-1.0], "n": 4096},
-        {"w": 10, "n": 0},
-        {"w": 10, "n": 4096.5},
-        {"w": 10, "n": 4096, "c": 0},
-        {"w": 10, "n": 4096, "c": 2.5},
-        {"w": 10, "n": 4096, "alpha": -0.1},
-        {"w": float("nan"), "n": 4096},
-        {"w": float("inf"), "n": 4096},
-        {"w": [1, 2], "n": [1, 2, 3]},
-        {"w": [[1.0]], "n": 4096},
-    ])
-    def test_rejects_bad_points(self, kwargs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kwargs,message", _ids([
+        ({"w": [-1.0], "n": 4096}, "write footprint W must be non-negative"),
+        ({"w": 10, "n": 0}, "n_entries must be positive integers"),
+        ({"w": 10, "n": 4096.5}, "n_entries must be positive integers"),
+        ({"w": 10, "n": 4096, "c": 0}, "concurrency must be integers >= 1"),
+        ({"w": 10, "n": 4096, "c": 2.5}, "concurrency must be integers >= 1"),
+        ({"w": 10, "n": 4096, "alpha": -0.1}, "alpha must be non-negative"),
+        ({"w": float("nan"), "n": 4096}, "batch parameter 'w' must be finite everywhere"),
+        ({"w": float("inf"), "n": 4096}, "batch parameter 'w' must be finite everywhere"),
+        ({"w": [1, 2], "n": [1, 2, 3]},
+         "batch parameters w, n, c, alpha must broadcast to a common length"),
+        ({"w": [[1.0]], "n": 4096}, "batch parameters must be scalars or 1-D arrays"),
+    ]))
+    def test_rejects_bad_points(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             conflict_likelihood_batch(**kwargs)
 
 
@@ -189,16 +197,22 @@ class TestSizingBatch:
                 10**9, 1.0 - 1e-15, concurrency=64
             )
 
-    @pytest.mark.parametrize("kwargs", [
-        {"w": 0, "commit_probability": 0.5},
-        {"w": 71, "commit_probability": 0.0},
-        {"w": 71, "commit_probability": 1.0},
-        {"w": 71, "commit_probability": 0.5, "concurrency": 1},
-        {"w": 71, "commit_probability": float("nan")},
-        {"w": [71, 72], "commit_probability": [0.5, 0.6, 0.7]},
-    ])
-    def test_rejects_bad_points(self, kwargs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kwargs,message", _ids([
+        ({"w": 0, "commit_probability": 0.5}, "W must be positive"),
+        ({"w": 71, "commit_probability": 0.0}, "commit_probability must be in (0, 1)"),
+        ({"w": 71, "commit_probability": 1.0}, "commit_probability must be in (0, 1)"),
+        ({"w": 71, "commit_probability": 0.5, "concurrency": 1},
+         "concurrency must be integers >= 2 for conflicts"),
+        ({"w": 71, "commit_probability": float("nan")},
+         "batch parameter 'commit_probability' must be finite everywhere"),
+        ({"w": [71, 72], "commit_probability": [0.5, 0.6, 0.7]},
+         "batch parameters w, commit_probability, concurrency, alpha "
+         "must broadcast to a common length"),
+        ({"w": [[71.0]], "commit_probability": 0.5},
+         "batch parameters must be scalars or 1-D arrays"),
+    ]))
+    def test_rejects_bad_points(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             table_entries_for_commit_probability_batch(**kwargs)
 
 

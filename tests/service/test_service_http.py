@@ -308,20 +308,22 @@ class TestBatchModelEndpoints:
     def test_batch_validation_400s(self, service):
         _, client = service
         cases = (
-            {"n": [4096]},                               # missing required w
-            {"w": [10], "n": [4096], "bogus": [1]},      # unknown field
-            {"w": [1, 2], "n": [1, 2, 3]},               # length mismatch
-            {"w": 10, "n": 4096},                        # no array at all
-            {"w": ["ten"], "n": [4096]},                 # non-number
-            {"w": [True], "n": [4096]},                  # bool is not a number
-            {"w": [float("nan")], "n": [4096]},          # NaN token in body
-            {"w": [-1], "n": [4096]},                    # model-layer rejection
-            [1, 2, 3],                                   # not an object
+            ({"n": [4096]}, "missing required field 'w'"),
+            ({"w": [10], "n": [4096], "bogus": [1]},
+             "unknown field(s): 'bogus'; expected ['w', 'n', 'c', 'alpha']"),
+            ({"w": [1, 2], "n": [1, 2, 3]}, "field 'n' has length 3, expected 2"),
+            ({"w": 10, "n": 4096},
+             "at least one field must be a JSON array of points "
+             "(use the GET endpoint for single points)"),
+            ({"w": ["ten"], "n": [4096]}, "field 'w' must contain only numbers"),
+            ({"w": [True], "n": [4096]}, "field 'w' must contain only numbers"),
+            ({"w": [float("nan")], "n": [4096]}, "field 'w' must be finite everywhere"),
+            ({"w": [-1], "n": [4096]}, "write footprint W must be non-negative"),
+            ([1, 2, 3], "request body must be a JSON object"),
         )
-        for body in cases:
+        for body, error in cases:
             status, data, _ = client.post("/v1/model/conflict", body)
-            assert status == 400, body
-            assert "error" in data
+            assert (status, data) == (400, {"error": error}), body
 
     @pytest.mark.parametrize(
         "path,body,field",
