@@ -178,9 +178,30 @@ def conflict_likelihood_product_form(w: FloatOrArray, params: ModelParams) -> Fl
     return _unwrap(-np.expm1(-arr), w)
 
 
-def _batch_param_arrays(
-    w: Any, n: Any, c: Any, alpha: Any
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _finite_columns(names: tuple[str, ...], columns: tuple[Any, ...]) -> list[np.ndarray]:
+    """Broadcast scalar or 1-D columns to one 1-D float64 shape, all finite.
+
+    Columns that already share a shape skip the broadcast.  Raises
+    ``ValueError`` naming the first non-finite column.
+    """
+    arrays = [np.array(col, dtype=np.float64, ndmin=1, copy=None) for col in columns]
+    shape = arrays[0].shape
+    if any(arr.shape != shape for arr in arrays):
+        try:
+            arrays = np.broadcast_arrays(*arrays)
+        except ValueError:
+            raise ValueError(
+                f"batch parameters {', '.join(names)} must broadcast to a common length"
+            ) from None
+    if arrays[0].ndim != 1:
+        raise ValueError("batch parameters must be scalars or 1-D arrays")
+    for name, arr in zip(names, arrays):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"batch parameter {name!r} must be finite everywhere")
+    return arrays
+
+
+def _batch_param_arrays(w: Any, n: Any, c: Any, alpha: Any) -> list[np.ndarray]:
     """Broadcast per-point (W, N, C, α) columns to one validated 1-D shape.
 
     Each argument may be a scalar or a 1-D sequence; they broadcast
@@ -188,30 +209,17 @@ def _batch_param_arrays(
     Validation mirrors :class:`ModelParams` + the scalar ``w`` check so a
     batch rejects exactly the points the scalar API would reject.
     """
-    w_arr = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    n_arr = np.atleast_1d(np.asarray(n, dtype=np.float64))
-    c_arr = np.atleast_1d(np.asarray(c, dtype=np.float64))
-    a_arr = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    try:
-        w_arr, n_arr, c_arr, a_arr = np.broadcast_arrays(w_arr, n_arr, c_arr, a_arr)
-    except ValueError:
-        raise ValueError(
-            "batch parameters w, n, c, alpha must broadcast to a common length"
-        ) from None
-    if w_arr.ndim != 1:
-        raise ValueError("batch parameters must be scalars or 1-D arrays")
-    for name, arr in (("w", w_arr), ("n", n_arr), ("c", c_arr), ("alpha", a_arr)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"batch parameter {name!r} must be finite everywhere")
-    if np.any(w_arr < 0):
+    arrays = _finite_columns(("w", "n", "c", "alpha"), (w, n, c, alpha))
+    w_arr, n_arr, c_arr, a_arr = arrays
+    if (w_arr < 0).any():
         raise ValueError("write footprint W must be non-negative")
-    if np.any(n_arr < 1) or np.any(n_arr != np.floor(n_arr)):
+    if (n_arr < 1).any() or (n_arr != np.floor(n_arr)).any():
         raise ValueError("n_entries must be positive integers")
-    if np.any(c_arr < 1) or np.any(c_arr != np.floor(c_arr)):
+    if (c_arr < 1).any() or (c_arr != np.floor(c_arr)).any():
         raise ValueError("concurrency must be integers >= 1")
-    if np.any(a_arr < 0):
+    if (a_arr < 0).any():
         raise ValueError("alpha must be non-negative")
-    return w_arr, n_arr, c_arr, a_arr
+    return arrays
 
 
 def conflict_likelihood_batch(

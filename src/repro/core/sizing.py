@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.model import ModelParams, conflict_likelihood
+from repro.core.model import ModelParams, _finite_columns, conflict_likelihood
 
 __all__ = [
     "concurrency_scaling_factor",
@@ -90,39 +90,22 @@ def table_entries_for_commit_probability_batch(
     broadcasting.  Returns an int64 array, element-wise bit-identical to
     the scalar form (same operations, same order).
     """
-    w_arr = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    p_arr = np.atleast_1d(np.asarray(commit_probability, dtype=np.float64))
-    c_arr = np.atleast_1d(np.asarray(concurrency, dtype=np.float64))
-    a_arr = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    try:
-        w_arr, p_arr, c_arr, a_arr = np.broadcast_arrays(w_arr, p_arr, c_arr, a_arr)
-    except ValueError:
-        raise ValueError(
-            "batch parameters w, commit_probability, concurrency, alpha "
-            "must broadcast to a common length"
-        ) from None
-    if w_arr.ndim != 1:
-        raise ValueError("batch parameters must be scalars or 1-D arrays")
-    for name, arr in (
-        ("w", w_arr),
-        ("commit_probability", p_arr),
-        ("concurrency", c_arr),
-        ("alpha", a_arr),
-    ):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"batch parameter {name!r} must be finite everywhere")
-    if np.any(w_arr <= 0):
+    names = ("w", "commit_probability", "concurrency", "alpha")
+    w_arr, p_arr, c_arr, a_arr = _finite_columns(
+        names, (w, commit_probability, concurrency, alpha)
+    )
+    if (w_arr <= 0).any():
         raise ValueError("W must be positive")
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    if (p_arr <= 0.0).any() or (p_arr >= 1.0).any():
         raise ValueError("commit_probability must be in (0, 1)")
-    if np.any(c_arr < 2) or np.any(c_arr != np.floor(c_arr)):
+    if (c_arr < 2).any() or (c_arr != np.floor(c_arr)).any():
         raise ValueError("concurrency must be integers >= 2 for conflicts")
-    if np.any(a_arr < 0):
+    if (a_arr < 0).any():
         raise ValueError("alpha must be non-negative")
     budget = 1.0 - p_arr
     numerator = c_arr * (c_arr - 1.0) * (1.0 + 2.0 * a_arr) * w_arr * w_arr
     entries = numerator / (2.0 * budget)
-    if not np.all(np.isfinite(entries)) or np.any(entries > _MAX_ENTRIES):
+    if not np.isfinite(entries).all() or (entries > _MAX_ENTRIES).any():
         raise ValueError(
             "required table size overflows for these parameters; "
             "shrink W or relax the commit target"
@@ -170,6 +153,11 @@ def pow2_table_entries_for_commit_probability_batch(
     entries = table_entries_for_commit_probability_batch(
         w, commit_probability, concurrency=concurrency, alpha=alpha
     )
+    return _round_up_pow2(entries)
+
+
+def _round_up_pow2(entries: np.ndarray) -> np.ndarray:
+    """The round-up above: ``1 << (e - 1).bit_length()`` per positive entry count."""
     mantissa, exponent = np.frexp(entries.astype(np.float64))
     bits = np.where(mantissa == 0.5, exponent - 1, exponent).astype(np.int64)
     pow2 = np.int64(1) << bits

@@ -67,15 +67,8 @@ from repro.core.birthday import (
     birthday_collision_probability_batch,
     people_for_collision_probability_batch,
 )
-from repro.core.model import (
-    ModelParams,
-    conflict_likelihood_batch,
-    conflict_likelihood_product_form_batch,
-)
-from repro.core.sizing import (
-    pow2_table_entries_for_commit_probability_batch,
-    table_entries_for_commit_probability_batch,
-)
+from repro.core.model import ModelParams, conflict_likelihood_batch
+from repro.core.sizing import _round_up_pow2, table_entries_for_commit_probability_batch
 from repro.service.batching import MicroBatcher
 from repro.service.cache import ResultCache
 from repro.service.http import (
@@ -176,27 +169,57 @@ def _batch_columns(
     columns: _Columns = {}
     for name, kind, default in fields:
         value = parsed.get(name, default)
-        items = value if isinstance(value, list) else [value] * length
-        try:
-            for item in items:
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    raise HTTPError(
-                        HTTPStatus.BAD_REQUEST, f"field {name!r} must contain only numbers"
-                    )
-                if not math.isfinite(item):
-                    raise HTTPError(
-                        HTTPStatus.BAD_REQUEST, f"field {name!r} must be finite everywhere"
-                    )
-                if kind is int and not float(item).is_integer():
-                    raise HTTPError(
-                        HTTPStatus.BAD_REQUEST, f"field {name!r} must contain integers"
-                    )
-        except OverflowError:  # an int past the float range, which a GET parses to inf
-            raise HTTPError(
-                HTTPStatus.BAD_REQUEST, f"field {name!r} must be finite everywhere"
-            ) from None
-        columns[name] = [kind(item) for item in items]
+        if isinstance(value, list):
+            columns[name] = _column(name, kind, value)
+        else:  # a scalar broadcasts: check it once
+            columns[name] = _checked_column(name, kind, [value]) * length
     return columns, length
+
+
+def _column(name: str, kind: type, items: list[Any]) -> list[Any]:
+    """One field's column: :func:`_checked_column` behind a vectorized guard.
+
+    The guard passes exactly when the loop would: plain ints and floats,
+    all finite as float64 (an int past the float range overflows) and,
+    for an ``int`` field, all integral.
+    """
+    types = set(map(type, items))
+    if types <= {int, float}:
+        try:
+            values = np.array(items, dtype=np.float64)
+        except OverflowError:
+            return _checked_column(name, kind, items)
+        if np.isfinite(values).all():
+            if kind is float:
+                return values.tolist()
+            if float not in types:
+                return list(items)
+            if (values == np.floor(values)).all():
+                return [int(item) for item in items]
+    return _checked_column(name, kind, items)
+
+
+def _checked_column(name: str, kind: type, items: list[Any]) -> list[Any]:
+    """One field's column, checked item by item; raises at the first bad item."""
+    try:
+        for item in items:
+            if isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise HTTPError(
+                    HTTPStatus.BAD_REQUEST, f"field {name!r} must contain only numbers"
+                )
+            if not math.isfinite(item):
+                raise HTTPError(
+                    HTTPStatus.BAD_REQUEST, f"field {name!r} must be finite everywhere"
+                )
+            if kind is int and not float(item).is_integer():
+                raise HTTPError(
+                    HTTPStatus.BAD_REQUEST, f"field {name!r} must contain integers"
+                )
+    except OverflowError:  # an int past the float range, which a GET parses to inf
+        raise HTTPError(
+            HTTPStatus.BAD_REQUEST, f"field {name!r} must be finite everywhere"
+        ) from None
+    return [kind(item) for item in items]
 
 
 # -- model endpoints ----------------------------------------------------
@@ -209,12 +232,12 @@ def _mib(entries: np.ndarray) -> list[float]:
 
 
 def _conflict_columns(cols: _Columns) -> _Columns:
-    args = cols["w"], cols["n"], cols["c"], cols["alpha"]
-    prob = conflict_likelihood_product_form_batch(*args).tolist()
+    raw = conflict_likelihood_batch(cols["w"], cols["n"], cols["c"], cols["alpha"])
+    prob = -np.expm1(-raw)  # conflict_likelihood_product_form_batch, from the same raw
     return {
-        "raw": conflict_likelihood_batch(*args).tolist(),
-        "conflict_probability": prob,
-        "commit_probability": [1.0 - p for p in prob],
+        "raw": raw.tolist(),
+        "conflict_probability": prob.tolist(),
+        "commit_probability": (1.0 - prob).tolist(),
     }
 
 
@@ -226,9 +249,10 @@ def _sizing_columns(cols: _Columns) -> _Columns:
 
 
 def _capacity_columns(cols: _Columns) -> _Columns:
-    sizing = dict(concurrency=cols["c"], alpha=cols["alpha"])
-    entries = table_entries_for_commit_probability_batch(cols["w"], cols["commit"], **sizing)
-    pow2 = pow2_table_entries_for_commit_probability_batch(cols["w"], cols["commit"], **sizing)
+    entries = table_entries_for_commit_probability_batch(
+        cols["w"], cols["commit"], concurrency=cols["c"], alpha=cols["alpha"]
+    )
+    pow2 = _round_up_pow2(entries)
     raw = conflict_likelihood_batch(cols["w"], pow2, cols["c"], cols["alpha"])
     return {
         "entries": entries.tolist(),

@@ -70,6 +70,7 @@ one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -140,6 +141,12 @@ def _require_float(params: Mapping[str, Any], key: str, default: float,
     value = params.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SweepValidationError(f"parameter {key!r} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise SweepValidationError(f"parameter {key!r} must be a finite number")
     if value < lo:
         raise SweepValidationError(f"parameter {key!r} must be >= {lo}, got {value}")
     return float(value)

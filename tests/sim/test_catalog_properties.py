@@ -164,6 +164,18 @@ class TestValidationNormalForm:
         with pytest.raises(SweepValidationError, match=f"{MAX_GRID_POINTS}-point"):
             SWEEP_KINDS["fig4a"].validate(too_big)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       10**400, -(10**400)])
+    @pytest.mark.parametrize("kind_name,key", [("placement", "skew"),
+                                               ("placement", "write_fraction"),
+                                               ("fig7", "skew")])
+    def test_non_finite_float_params_rejected(self, kind_name, key, value):
+        # NaN passes a ``< lo`` bound check, and an int past the float
+        # range overflows in float(); both must be typed admission errors.
+        with pytest.raises(SweepValidationError) as info:
+            SWEEP_KINDS[kind_name].validate({key: value})
+        assert str(info.value) == f"parameter {key!r} must be a finite number"
+
 
 class TestCacheKeyEquivalence:
     @given(

@@ -77,6 +77,8 @@ BAD_FLAGS = [
      {"kind": "fig7", "params": {"hash_kind": "nope"}}),
     (["placement", "--skew", "9"],
      {"kind": "placement", "params": {"skew": 9.0}}),
+    (["placement", "--skew", "nan"],
+     {"kind": "placement", "params": {"skew": float("nan")}}),
 ]
 
 
