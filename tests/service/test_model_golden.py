@@ -16,7 +16,9 @@ or evaluated leaves the wire alone.  These goldens hold them to it:
 The seeded bodies mix ints and floats in every field, integral floats
 in integer fields, scalars that broadcast, and missing defaults, so the
 Python types of the echoed columns are pinned along with the values.
-To re-record after a deliberate wire change, run with
+Like the sweep result goldens, the digests pin the last bit of numpy's
+float64 ``expm1``/``log1p`` as x86-64 builds compute them.  To
+re-record after a deliberate wire change, run with
 ``MODEL_GOLDEN_PRINT=1`` and ``-s`` and paste the printed digests.
 """
 
