@@ -175,7 +175,12 @@ def conflict_likelihood_product_form(w: FloatOrArray, params: ModelParams) -> Fl
     accurate across the whole range and reduces to Eq. 8 to first order.
     """
     arr = np.asarray(conflict_likelihood(_as_w(w), params))
-    return _unwrap(-np.expm1(-arr), w)
+    return _unwrap(_product_form(arr), w)
+
+
+def _product_form(raw: np.ndarray) -> np.ndarray:
+    """``1 − exp(−raw)`` per element, from Eq. 8 values ``raw``."""
+    return -np.expm1(-raw)
 
 
 def _finite_columns(names: tuple[str, ...], columns: tuple[Any, ...]) -> list[np.ndarray]:
@@ -184,7 +189,7 @@ def _finite_columns(names: tuple[str, ...], columns: tuple[Any, ...]) -> list[np
     Columns that already share a shape skip the broadcast.  Raises
     ``ValueError`` naming the first non-finite column.
     """
-    arrays = [np.array(col, dtype=np.float64, ndmin=1, copy=None) for col in columns]
+    arrays = [np.array(col, dtype=np.float64, ndmin=1) for col in columns]
     shape = arrays[0].shape
     if any(arr.shape != shape for arr in arrays):
         try:
@@ -255,8 +260,7 @@ def conflict_likelihood_product_form_batch(
     scalar form because both apply the same ``expm1`` ufunc to the same
     Eq. 8 bits.
     """
-    raw = conflict_likelihood_batch(w, n, c, alpha)
-    return -np.expm1(-raw)
+    return _product_form(conflict_likelihood_batch(w, n, c, alpha))
 
 
 def commit_probability_batch(

@@ -67,7 +67,7 @@ from repro.core.birthday import (
     birthday_collision_probability_batch,
     people_for_collision_probability_batch,
 )
-from repro.core.model import ModelParams, conflict_likelihood_batch
+from repro.core.model import ModelParams, _product_form, conflict_likelihood_batch
 from repro.core.sizing import _round_up_pow2, table_entries_for_commit_probability_batch
 from repro.service.batching import MicroBatcher
 from repro.service.cache import ResultCache
@@ -183,8 +183,7 @@ def _column(name: str, kind: type, items: list[Any]) -> list[Any]:
     all finite as float64 (an int past the float range overflows) and,
     for an ``int`` field, all integral.
     """
-    types = set(map(type, items))
-    if types <= {int, float}:
+    if set(map(type, items)) <= {int, float}:
         try:
             values = np.array(items, dtype=np.float64)
         except OverflowError:
@@ -192,8 +191,6 @@ def _column(name: str, kind: type, items: list[Any]) -> list[Any]:
         if np.isfinite(values).all():
             if kind is float:
                 return values.tolist()
-            if float not in types:
-                return list(items)
             if (values == np.floor(values)).all():
                 return [int(item) for item in items]
     return _checked_column(name, kind, items)
@@ -233,7 +230,7 @@ def _mib(entries: np.ndarray) -> list[float]:
 
 def _conflict_columns(cols: _Columns) -> _Columns:
     raw = conflict_likelihood_batch(cols["w"], cols["n"], cols["c"], cols["alpha"])
-    prob = -np.expm1(-raw)  # conflict_likelihood_product_form_batch, from the same raw
+    prob = _product_form(raw)  # conflict_likelihood_product_form_batch, from the same raw
     return {
         "raw": raw.tolist(),
         "conflict_probability": prob.tolist(),
