@@ -21,20 +21,17 @@ several small-array ``np.unique`` passes plus a Python assembly loop per
    numpy ``Generator`` consumes its bit stream identically for a scalar
    ``integers(0, n)`` and for one element of ``integers(0, n, size=k)``
    (pinned by a test), so equal-length streams collapse into a single
-   vectorized call; unequal lengths interleave different bounds — whose
-   rejection sampling consumes a variable number of words per draw — and
-   stay scalar.
-2. Per distinct stream, the written blocks get dense ids (one
-   ``np.unique``, which also checks that W is reachable), and the
-   cutoff of every *unique* drawn offset (the position of its W-th
-   distinct written block) is found either by an O(L) two-pointer
-   sweep over the wrapped stream (dense offsets) or by a vectorized
-   batched-doubling scan (sparse offsets). The scan sorts each window
+   vectorized call; unequal lengths are read off one pass of raw PCG64
+   output where no draw can reject, and drawn scalar otherwise.
+2. Per distinct stream, the cutoff of every *unique* drawn offset (the
+   position of its W-th distinct written block) is found on the write
+   subsequence: reads never move a cutoff, so offsets share the cutoff
+   of their next write, and one batched-doubling scan runs from those
+   writes over the doubled written-block ids. It sorts each window
    row of packed ``id << shift | column`` int64 keys, keeps the head of
    each block's group (its first write) and takes the W-th smallest
-   head column with ``np.partition``. Both exploit that a window never
-   needs more than one full cycle: one cycle visits every position,
-   hence every distinct written block.
+   head column with ``np.partition``. A window never needs more than
+   one cycle of writes, which holds every distinct written block.
 3. The whole stream is hashed in one array call — every hash kind is
    elementwise — and each unique window is compacted to its sorted
    distinct table entries with write-dominated flags, stored as padded
@@ -128,6 +125,9 @@ def _draw_starts(rng: np.random.Generator, lengths: list[int], samples: int) -> 
     c = len(lengths)
     if len(set(lengths)) == 1:
         return rng.integers(0, lengths[0], size=samples * c).reshape(samples, c)
+    starts = _lemire_starts(rng.bit_generator, lengths, samples)
+    if starts is not None:
+        return starts
     starts = np.empty((samples, c), dtype=np.int64)
     draw = rng.integers
     for i in range(samples):
@@ -136,54 +136,47 @@ def _draw_starts(rng: np.random.Generator, lengths: list[int], samples: int) -> 
     return starts
 
 
-def _window_lengths_dense(
-    ids: np.ndarray, is_write: np.ndarray, offsets: np.ndarray, w: int
-) -> np.ndarray:
-    """Two-pointer sweep: window length of each offset in O(L) total.
+def _lemire_starts(
+    bits: np.random.BitGenerator, lengths: list[int], samples: int
+) -> Optional[np.ndarray]:
+    """The scalar loop's start draws from one read of raw PCG64 output, or None.
 
-    ``ids`` are dense written-block ids (read positions are ignored).
-    The cutoff position is monotone non-decreasing in the start offset
-    (dropping the first position can only move a block's first write
-    later), so the end pointer never retreats while the start pointer
-    advances over the sorted offsets.
+    For ``2 <= L < 2**32`` a scalar ``integers(0, L)`` is the high word of
+    ``next_uint32() * L`` unless the low word is below ``L`` (Lemire; it
+    may then reject).  PCG64's ``next_uint32`` is a raw word's low half,
+    its high half buffered in the state (``has_uint32``/``uinteger``).
+    Returns None, generator untouched, for another bit generator, a
+    bound outside ``[2, 2**32)`` or a draw that might reject.
     """
-    n = len(ids)
-    binv = ids.tolist()
-    isw = is_write.tolist()
-    cnt = [0] * (int(ids.max()) + 1)
-    offs = offsets.tolist()
-    out = np.empty(len(offs), dtype=np.int64)
-    oi = 0
-    distinct = 0
-    e = offs[0]
-    for o in range(offs[0], offs[-1] + 1):
-        while distinct < w:
-            i = e if e < n else e - n
-            if isw[i]:
-                b = binv[i]
-                if cnt[b] == 0:
-                    distinct += 1
-                cnt[b] += 1
-            e += 1
-        if o == offs[oi]:
-            out[oi] = e - o
-            oi += 1
-            if oi == len(offs):
-                break
-        if isw[o]:
-            b = binv[o]
-            cnt[b] -= 1
-            if cnt[b] == 0:
-                distinct -= 1
-    return out
+    saved = bits.state
+    if saved["bit_generator"] != "PCG64" or not all(2 <= n < 1 << 32 for n in lengths):
+        return None
+    k = samples * len(lengths)
+    buffered = saved["has_uint32"]
+    fresh = k - buffered
+    raw = bits.random_raw((fresh + 1) // 2)
+    halves = np.empty(2 * len(raw) + buffered, dtype=np.uint64)
+    halves[:buffered] = saved["uinteger"]
+    halves[buffered::2] = raw & 0xFFFFFFFF
+    halves[buffered + 1 :: 2] = raw >> 32
+    bounds = np.tile(np.array(lengths, dtype=np.uint64), samples)
+    scaled = halves[:k] * bounds
+    if ((scaled & 0xFFFFFFFF) < bounds).any():
+        bits.state = saved
+        return None
+    state = bits.state
+    state["has_uint32"] = fresh % 2
+    state["uinteger"] = int(raw[-1] >> 32) if len(raw) else saved["uinteger"]
+    bits.state = state
+    return (scaled >> 32).astype(np.int64).reshape(samples, len(lengths))
 
 
 def _scan_span(keys: np.ndarray, shift: int, w: int) -> np.ndarray:
     """Cutoff column of each window row; ``>= span`` where it is not reached.
 
-    ``keys`` is ``(rows, span)``: a write of dense block ``b`` at column
-    ``col`` keys as ``b << shift | col`` and a read as the int64 maximum
-    (``span < 1 << shift``).  Sorting each row puts every block's first
+    ``keys`` is ``(rows, span)``: a write of block ``b`` keys as
+    ``b << shift`` and a read as the int64 maximum (``span < 1 << shift``);
+    columns are or-ed in here.  Sorting each row puts every block's first
     write at the head of its group; the ``w``-th smallest head column is
     the cutoff.  Non-heads and the read group rank as ``(1 << shift) - 1``.
     """
@@ -196,39 +189,43 @@ def _scan_span(keys: np.ndarray, shift: int, w: int) -> np.ndarray:
     return np.partition(first, w - 1, axis=1)[:, w - 1]
 
 
-def _window_lengths_sparse(
-    ext_ids: np.ndarray,
-    ext_writes: np.ndarray,
-    offsets: np.ndarray,
-    w: int,
-    n: int,
-) -> np.ndarray:
-    """Batched-doubling vectorized cutoff scan; cost ~ offsets x span."""
-    out = np.empty(len(offsets), dtype=np.int64)
-    pending = np.arange(len(offsets))
-    span = min(max(64, 8 * w), n)
-    while len(pending):
+def _write_cutoffs(ids: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
+    """Index of the write reaching ``w`` distinct ``ids`` from each start.
+
+    ``ids`` is one cycle of written-block ids, packable with a column;
+    ``starts`` are sorted write indices in ``[0, len(ids)]``; an index
+    ``>= len(ids)`` lies in the next cycle.  Spans double up to one
+    cycle, which holds every distinct id: only that pass counts them.
+    """
+    m = len(ids)
+    ext = np.concatenate([ids, ids])
+    out = np.empty(len(starts), dtype=np.int64)
+    pending = np.arange(len(starts))
+    span = min(2 * w, m)
+    while True:
+        if span == m and (distinct := len(np.unique(ids))) < w:
+            raise ValueError(
+                f"stream has only {distinct} distinct written blocks; cannot reach W={w}"
+            )
         shift = span.bit_length()
-        keyed = np.where(ext_writes, ext_ids << shift, np.iinfo(np.int64).max)
-        windows = np.lib.stride_tricks.sliding_window_view(keyed, span)
+        windows = np.lib.stride_tricks.sliding_window_view(ext, span)
         rows_per = max(1, _SCRATCH_ELEMS // span)
         leftovers = []
         for lo in range(0, len(pending), rows_per):
             part = pending[lo : lo + rows_per]
-            cut = _scan_span(windows[offsets[part]], shift, w)
+            keys = windows[starts[part]]
+            keys <<= shift
+            cut = _scan_span(keys, shift, w)
             finished = cut < span
-            out[part[finished]] = cut[finished] + 1
+            out[part[finished]] = starts[part[finished]] + cut[finished]
             if not finished.all():
                 leftovers.append(part[~finished])
         if not leftovers:
-            break
-        if span >= n:
-            # One full cycle visits every position; the caller's
-            # reachability check guarantees w distinct writes exist.
+            return out
+        if span == m:
             raise RuntimeError("window scan failed to converge")
         pending = np.concatenate(leftovers)
-        span = min(span * 2, n)
-    return out
+        span = min(span * 2, m)
 
 
 def _compact_footprints(
@@ -290,32 +287,22 @@ def _window_index(
     """Cut the window reaching ``w`` distinct writes at every drawn offset.
 
     Raises the reference's "cannot reach W" error for a stream with
-    fewer than ``w`` distinct written blocks.  Both scans work on dense
-    ids of the written blocks, whatever the block values.  Few offsets
-    take the vectorized doubling scan; offsets dense enough to cover the
-    stream take the O(L) two-pointer sweep.
+    fewer than ``w`` distinct written blocks.  Each offset takes the
+    cutoff of its first write at or after it (past the last write, the
+    next cycle's first).  Written blocks too wide to pack with a column
+    are scanned as their dense ranks.
     """
     written_at = np.flatnonzero(is_write)
-    written, dense = np.unique(blocks[written_at], return_inverse=True)
-    if len(written) < w:
-        raise ValueError(
-            f"stream has only {len(written)} distinct written blocks; cannot reach W={w}"
-        )
-    n = len(blocks)
-    ids = np.zeros(n, dtype=np.int64)
-    ids[written_at] = dense
-    if len(offsets) * max(64, 8 * w) <= 8 * n:
-        # Doubled arrays make every wrapped window a contiguous slice: a
-        # window never exceeds one full cycle of the stream.
-        win_lens = _window_lengths_sparse(
-            np.concatenate([ids, ids]),
-            np.concatenate([is_write, is_write]),
-            offsets,
-            w,
-            n,
-        )
-    else:
-        win_lens = _window_lengths_dense(ids, is_write, offsets, w)
+    ids = blocks[written_at].astype(np.int64, copy=False)
+    if len(ids) and (ids.min() < 0 or int(ids.max()) >> (62 - len(ids).bit_length())):
+        ids = np.unique(ids, return_inverse=True)[1].astype(np.int64)
+    first = np.searchsorted(written_at, offsets)
+    fresh = np.ones(len(first), dtype=bool)
+    np.not_equal(first[1:], first[:-1], out=fresh[1:])
+    cut = _write_cutoffs(ids, first[fresh], w)
+    # A cutoff index >= M lies in the next cycle, n accesses later.
+    cut_at = np.concatenate([written_at, written_at + len(blocks)])[cut]
+    win_lens = cut_at[np.cumsum(fresh) - 1] - offsets + 1
     return _WindowIndex(is_write, offsets, win_lens)
 
 

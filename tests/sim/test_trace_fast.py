@@ -29,7 +29,8 @@ from repro.sim.trace_driven import (
     TraceAliasResult,
     simulate_trace_aliasing,
 )
-from repro.sim.trace_fast import simulate_trace_aliasing_fast
+from repro.sim import trace_fast
+from repro.sim.trace_fast import _draw_starts, simulate_trace_aliasing_fast
 from repro.traces.events import AccessTrace, ThreadedTrace
 from repro.traces.workloads import _geometric, _scalar_draws
 from tests.sim.engine_contract import EngineContract, registry_test_class
@@ -339,6 +340,62 @@ class TestRawDraws:
                     assert a.geometric(0.1) == b.geometric(0.1)
             # An odd count of 32-bit draws leaves a buffered half behind.
             assert generator_state(a) == generator_state(b)
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.Philox])
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [2, 3],
+            [95049, 95050, 7],
+            [3, 2, 1000, 3_000_017, 5],
+            [1, 2],
+            [2**31 + 1, 5],
+            [2, 2**32 - 1, 3],
+            [2**32, 7, 3, 2],
+            [2**33, 2],
+        ],
+    )
+    @pytest.mark.parametrize("samples", [1, 2, 3, 250])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_start_draws_equal_scalar_loop(self, bits, lengths, samples, buffered):
+        """Unequal-length start draws equal the reference's scalar loop.
+
+        ``_draw_starts`` reads raw PCG64 words in one pass where it can
+        (the rest falls back to the loop: about half of all draws below
+        ``2**31 + 1`` may reject); values and the final generator state
+        must match whichever way it went, with or without a buffered
+        32-bit half before the call and for odd or even draw counts.
+        """
+        for seed in range(12):
+            a, b = np.random.Generator(bits(seed)), np.random.Generator(bits(seed))
+            if buffered:
+                assert a.integers(0, 9) == b.integers(0, 9)
+            got = _draw_starts(a, list(lengths), samples)
+            want = np.array(
+                [[int(b.integers(0, n)) for n in lengths] for _ in range(samples)],
+                dtype=np.int64,
+            ).reshape(samples, len(lengths))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert generator_state(a) == generator_state(b)
+            assert a.integers(0, 9) == b.integers(0, 9) and a.random() == b.random()
+
+    def test_start_draws_take_the_raw_pass(self, monkeypatch):
+        # Small PCG64 bounds are vectorized (a rejection needs a low word
+        # below the bound: odds ~1e-9 here); a bound of 1, one of 2**32
+        # or Philox is not.
+        real, taken = trace_fast._lemire_starts, []
+
+        def spy(*args):
+            out = real(*args)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(trace_fast, "_lemire_starts", spy)
+        _draw_starts(np.random.default_rng(0), [2, 3, 5], 201)
+        _draw_starts(np.random.default_rng(0), [1, 3], 5)
+        _draw_starts(np.random.default_rng(0), [2**32, 3], 5)
+        _draw_starts(np.random.Generator(np.random.Philox(0)), [2, 3], 5)
+        assert taken == [True, False, False, False]
 
 
 TestRegistryContract = registry_test_class(

@@ -1,15 +1,18 @@
-"""Differential suite: the packed-key window scan and footprint compaction.
+"""Differential suite: the write-subsequence window scan and footprint compaction.
 
-:mod:`repro.sim.trace_fast` cuts every drawn window with a row-wise sort
-of packed ``(dense block id, column)`` keys (``_scan_span``) and
-compacts each window to its distinct entries with one in-place sort of
-packed ``(row, entry, write)`` keys (``_compact_footprints``).  The
-kernels they replaced, built on ``lexsort``/``argsort`` plus gathers and
-``reduceat``, are kept here verbatim as oracles.  ``win_lens`` and the
-``_Footprints`` matrices must be equal, whichever of the sparse
-(doubling scan) or dense (two-pointer) paths ``_window_index`` takes,
-for block ids near 2**62, and for scratch sizes that put chunk
-boundaries exactly between rows.
+:mod:`repro.sim.trace_fast` cuts every drawn window on the stream's
+write subsequence with a row-wise sort of packed ``(block id, column)``
+keys (``_scan_span``) and compacts each window to its distinct entries
+with one in-place sort of packed ``(row, entry, write)`` keys
+(``_compact_footprints``).  The kernels they replaced are kept here
+verbatim as oracles: the ``lexsort``/``argsort`` span scan and
+compaction, and the two window-length kernels that scanned the whole
+access stream (the batched-doubling ``_window_lengths_sparse`` and the
+two-pointer ``_window_lengths_dense``).  ``win_lens`` must equal all
+three and the ``_Footprints`` matrices must be equal, for block ids near
+2**62 and near the packing limit of the raw-id scan, for many offsets
+between two writes, for windows that wrap, and for scratch sizes that
+put chunk boundaries exactly between rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import trace_fast
-from repro.sim.trace_fast import _Footprints, _window_index
+from repro.sim.trace_fast import _Footprints, _scan_span, _window_index
 
 _SCRATCH_ELEMS = 1 << 22  # the oracles' own chunking; it never changes a result
 
@@ -92,6 +95,98 @@ def oracle_window_lengths_sparse(
         pending = np.concatenate(leftovers)
         span = min(span * 2, n)
     return out
+
+
+def _window_lengths_dense(
+    ids: np.ndarray, is_write: np.ndarray, offsets: np.ndarray, w: int
+) -> np.ndarray:
+    """Two-pointer sweep: window length of each offset in O(L) total.
+
+    ``ids`` are dense written-block ids (read positions are ignored).
+    The cutoff position is monotone non-decreasing in the start offset
+    (dropping the first position can only move a block's first write
+    later), so the end pointer never retreats while the start pointer
+    advances over the sorted offsets.
+    """
+    n = len(ids)
+    binv = ids.tolist()
+    isw = is_write.tolist()
+    cnt = [0] * (int(ids.max()) + 1)
+    offs = offsets.tolist()
+    out = np.empty(len(offs), dtype=np.int64)
+    oi = 0
+    distinct = 0
+    e = offs[0]
+    for o in range(offs[0], offs[-1] + 1):
+        while distinct < w:
+            i = e if e < n else e - n
+            if isw[i]:
+                b = binv[i]
+                if cnt[b] == 0:
+                    distinct += 1
+                cnt[b] += 1
+            e += 1
+        if o == offs[oi]:
+            out[oi] = e - o
+            oi += 1
+            if oi == len(offs):
+                break
+        if isw[o]:
+            b = binv[o]
+            cnt[b] -= 1
+            if cnt[b] == 0:
+                distinct -= 1
+    return out
+
+
+def _window_lengths_sparse(
+    ext_ids: np.ndarray,
+    ext_writes: np.ndarray,
+    offsets: np.ndarray,
+    w: int,
+    n: int,
+) -> np.ndarray:
+    """Batched-doubling vectorized cutoff scan; cost ~ offsets x span."""
+    out = np.empty(len(offsets), dtype=np.int64)
+    pending = np.arange(len(offsets))
+    span = min(max(64, 8 * w), n)
+    while len(pending):
+        shift = span.bit_length()
+        keyed = np.where(ext_writes, ext_ids << shift, np.iinfo(np.int64).max)
+        windows = np.lib.stride_tricks.sliding_window_view(keyed, span)
+        rows_per = max(1, _SCRATCH_ELEMS // span)
+        leftovers = []
+        for lo in range(0, len(pending), rows_per):
+            part = pending[lo : lo + rows_per]
+            cut = _scan_span(windows[offsets[part]], shift, w)
+            finished = cut < span
+            out[part[finished]] = cut[finished] + 1
+            if not finished.all():
+                leftovers.append(part[~finished])
+        if not leftovers:
+            break
+        if span >= n:
+            # One full cycle visits every position; the caller's
+            # reachability check guarantees w distinct writes exist.
+            raise RuntimeError("window scan failed to converge")
+        pending = np.concatenate(leftovers)
+        span = min(span * 2, n)
+    return out
+
+
+def legacy_win_lens(blocks, is_write, offsets, w) -> tuple[np.ndarray, np.ndarray]:
+    """Both whole-stream kernels, on the dense ids they were written for."""
+    written_at = np.flatnonzero(is_write)
+    ids = np.zeros(len(blocks), dtype=np.int64)
+    ids[written_at] = np.unique(blocks[written_at], return_inverse=True)[1]
+    sparse = _window_lengths_sparse(
+        np.concatenate([ids, ids]),
+        np.concatenate([is_write, is_write]),
+        offsets,
+        w,
+        len(blocks),
+    )
+    return sparse, _window_lengths_dense(ids, is_write, offsets, w)
 
 
 def oracle_compact_footprints(
@@ -198,6 +293,8 @@ def check_stream(blocks, is_write, offsets, w, label_kinds=("hashed", "dense", "
     ix = _window_index(blocks, is_write, offsets, w)
     want_lens = oracle_win_lens(blocks, is_write, offsets, w)
     assert np.array_equal(ix.win_lens, want_lens)
+    for legacy in legacy_win_lens(blocks, is_write, offsets, w):
+        assert np.array_equal(ix.win_lens, legacy)
     for kind in label_kinds:
         if kind == "hashed":  # what a tagless table of 7 entries sees
             labels, pad = blocks % 7, 7
@@ -245,8 +342,8 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("offsets", [[0], [5, 990, 1999], list(range(0, 2000, 3))])
     @pytest.mark.parametrize("base", [0, 2**62 - 1000])
     def test_sparse_and_dense_paths(self, offsets, base):
-        # 3 offsets of a 2000-access stream take the doubling scan, 667 the
-        # two-pointer sweep; W = 40 needs spans to double past the first 320.
+        # 3 offsets of a 2000-access stream took the old doubling scan and
+        # 667 the old two-pointer sweep; both are oracles now.
         rng = np.random.default_rng(len(offsets))
         blocks = base + rng.integers(0, 300, size=2000)
         is_write = rng.random(2000) < 0.3
@@ -267,6 +364,98 @@ class TestWrapping:
         is_write = np.array([False, True, False, True, True])
         ix = check_stream(blocks, is_write, np.array([0, 4]), 3)
         assert list(ix.win_lens) == [5, 5]
+
+
+def scan_spy(monkeypatch) -> list[tuple[np.ndarray, int]]:
+    """Record the ids and spans each window scan runs on."""
+    seen: list[tuple[np.ndarray, int]] = []
+    real_cutoffs, real_scan = trace_fast._write_cutoffs, trace_fast._scan_span
+
+    def cutoffs(ids, starts, w):
+        seen.append((ids.copy(), 0))
+        return real_cutoffs(ids, starts, w)
+
+    def scan(keys, shift, w):
+        seen[-1] = (seen[-1][0], keys.shape[1])
+        return real_scan(keys, shift, w)
+
+    monkeypatch.setattr(trace_fast, "_write_cutoffs", cutoffs)
+    monkeypatch.setattr(trace_fast, "_scan_span", scan)
+    return seen
+
+
+class TestWriteSubsequence:
+    """Windows are cut on the writes; reads never move a cutoff."""
+
+    def test_many_offsets_between_two_writes(self):
+        rng = np.random.default_rng(3)
+        n = 3000
+        blocks = rng.integers(0, 30, size=n)
+        is_write = np.zeros(n, dtype=bool)
+        is_write[5::97] = True
+        offsets = np.arange(n)
+        ix = check_stream(blocks, is_write, offsets, 5, ("hashed",))
+        # Every offset in a run of reads shares its next write's cutoff.
+        cut = offsets + ix.win_lens - 1
+        gap = np.searchsorted(np.flatnonzero(is_write), offsets)
+        for g in np.unique(gap):
+            assert len(np.unique(cut[gap == g])) == 1
+
+    def test_offsets_past_the_last_write_wrap(self):
+        rng = np.random.default_rng(4)
+        n = 500
+        blocks = rng.integers(0, 40, size=n)
+        is_write = rng.random(n) < 0.4
+        is_write[300:] = False
+        offsets = np.arange(250, n)
+        ix = check_stream(blocks, is_write, offsets, 6)
+        past = offsets > np.flatnonzero(is_write)[-1]
+        assert past.any()
+        assert (offsets + ix.win_lens > n)[past].all()
+
+    @pytest.mark.parametrize("writes", [1, 2, 7, 15])
+    def test_fewer_than_sixteen_writes(self, writes):
+        rng = np.random.default_rng(writes)
+        n = 120
+        blocks = rng.integers(0, 9, size=n)
+        is_write = np.zeros(n, dtype=bool)
+        is_write[rng.choice(n, size=writes, replace=False)] = True
+        distinct = len(np.unique(blocks[is_write]))
+        for w in range(1, distinct + 1):
+            check_stream(blocks, is_write, np.unique(rng.integers(0, n, size=40)), w)
+
+    def test_w_equal_to_distinct_count_doubles_to_a_full_cycle(self, monkeypatch):
+        # One block is written once, so the window from the write after it
+        # needs every write of the cycle.
+        rng = np.random.default_rng(5)
+        n = 1600
+        blocks = rng.integers(0, 24, size=n)
+        is_write = rng.random(n) < 0.25
+        blocks[np.flatnonzero(is_write)[100]] = 99
+        m = int(is_write.sum())
+        w = len(np.unique(blocks[is_write]))
+        seen = scan_spy(monkeypatch)
+        check_stream(blocks, is_write, np.arange(n), w, ("hashed",))
+        assert 2 * w < m and seen[0][1] == m
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_raw_ids_near_the_packing_limit(self, monkeypatch, above):
+        # 200 writes: ids below 2**(62 - 8) are scanned as they are, the
+        # rest as their dense ranks.
+        rng = np.random.default_rng(6)
+        n = 400
+        is_write = np.zeros(n, dtype=bool)
+        is_write[rng.choice(n, size=200, replace=False)] = True
+        limit = 1 << (62 - (200).bit_length())
+        blocks = limit - 20 + rng.integers(0, 20, size=n) + above
+        blocks[np.flatnonzero(is_write)[7]] = limit - 1 + above
+        seen = scan_spy(monkeypatch)
+        check_stream(blocks, is_write, np.unique(rng.integers(0, n, size=50)), 12)
+        ids = seen[0][0]
+        if above:
+            assert ids.max() < 200
+        else:
+            assert np.array_equal(ids, blocks[is_write])
 
 
 class TestChunkBoundaries:
@@ -301,3 +490,16 @@ def test_unreachable_w_keeps_the_reference_message():
     is_write = np.array([True, True, False, True])
     with pytest.raises(ValueError, match="only 2 distinct written blocks; cannot reach W=3"):
         _window_index(blocks, is_write, np.array([0]), 3)
+
+
+@pytest.mark.parametrize(
+    "blocks,is_write,w,count",
+    [
+        ([2**62, 2**62 + 1, 2**62, 5], [True, True, True, False], 3, 2),  # dense ranks
+        ([1, 2, 3], [False, False, False], 1, 0),  # no writes at all
+        (list(range(40)) * 10, [True] * 400, 41, 40),  # after spans 82, 164, 328
+    ],
+)
+def test_unreachable_w_on_every_path(blocks, is_write, w, count):
+    with pytest.raises(ValueError, match=f"only {count} distinct written blocks; cannot reach W={w}"):
+        _window_index(np.array(blocks, dtype=np.int64), np.array(is_write), np.array([0, 2]), w)
