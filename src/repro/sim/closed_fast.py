@@ -25,8 +25,8 @@ interpreter rather than written against numpy arrays:
 * **One scheduler generator per thread.**  The reference re-reads every
   piece of per-thread progress (``entries``/``pos``/``held``/``wait``)
   out of heap objects on every access.  Here each thread is a generator
-  that yields once per consumed tick, so its cursor, entry list, held
-  list, reader bit and claim table are *generator locals* — ``LOAD_FAST``
+  that yields once per consumed tick, so its cursor, entry list, reader
+  bit and claim table are *generator locals* — ``LOAD_FAST``
   instead of attribute or list traffic — and the stagger wait burns down
   in a prologue loop that costs nothing once it is over.
 * **Chunk-prefetched entry draws, unboxed.**  numpy's bounded-integer
@@ -41,10 +41,10 @@ interpreter rather than written against numpy arrays:
   ``.tolist()``, and hands each transaction a list slice.  Per-position
   claim words (``mark`` for writes, ``bit`` for reads) are precomputed
   so the free-entry fast path is a single tuple index.
-* **Duplicate-free ``held`` lists.**  Acquires append each entry exactly
-  once (the read→write upgrade keeps the read acquire's entry), so
-  release is O(F) per transaction with no membership scans — the
-  reference's historical O(F²) behavior is structurally impossible here.
+* **No held list.**  Every access before the cursor succeeded, so an
+  abort at ``p`` releases ``ent[:p]`` and a commit ``ent``: O(F), with no
+  per-acquire bookkeeping or membership scans.  A duplicate entry's
+  second release is a no-op (it reads free, or without the reader bit).
 
 Select engines by name through :mod:`repro.sim.engines`; this module
 only holds the implementation.
@@ -123,7 +123,10 @@ def simulate_closed_system_fast(cfg: ClosedSystemConfig) -> ClosedSystemResult:
         return buf[b:end]
 
     def _release(held: list[int], bit: int, mark: int) -> None:
-        """Drop all permissions a thread holds (commit or abort)."""
+        """Drop the permissions a thread holds on ``held`` (commit or abort).
+
+        ``held`` may repeat an entry: its second release is a no-op.
+        """
         nonlocal occupied
         st = state
         for h in held:
@@ -140,7 +143,7 @@ def simulate_closed_system_fast(cfg: ClosedSystemConfig) -> ClosedSystemResult:
     def _thread(tid: int, wait: int) -> Iterator[None]:
         """One thread's whole schedule; each ``yield`` ends one tick.
 
-        All per-thread state (cursor, entries, held set, bit masks) are
+        All per-thread state (cursor, entries, bit masks) are
         locals of this generator, which is what keeps the per-access
         bytecode count minimal.
         """
@@ -159,8 +162,6 @@ def simulate_closed_system_fast(cfg: ClosedSystemConfig) -> ClosedSystemResult:
             # the same values the reference's per-transaction
             # ``integers(0, n, size=F)`` call would produce.
             ent = take()
-            held: list[int] = []
-            append = held.append
             p = 0
             while True:
                 e = ent[p]
@@ -169,31 +170,29 @@ def simulate_closed_system_fast(cfg: ClosedSystemConfig) -> ClosedSystemResult:
                     # Free entry: claim it (write or read mode).
                     st[e] = claim[p]
                     occupied += 1
-                    append(e)
                 elif s < 0:
                     if s != mark:
                         # Write-held by someone else: abort, restart
                         # next tick (the table-depopulation effect).
                         conflicts += 1
-                        _release(held, bit, mark)
+                        _release(ent[:p], bit, mark)
                         yield
                         break
                 elif isw[p]:
                     if s & ~bit:
                         # Read-held by someone else: a write is refused.
                         conflicts += 1
-                        _release(held, bit, mark)
+                        _release(ent[:p], bit, mark)
                         yield
                         break
-                    # Upgrade own sole read; already in held.
+                    # Upgrade own sole read.
                     st[e] = mark
                 elif not (s & bit):
                     st[e] = s | bit
-                    append(e)
                 p += 1
                 if p == f:
                     # Commit: permissions drop in the same tick.
-                    _release(held, bit, mark)
+                    _release(ent, bit, mark)
                     committed += 1
                     yield
                     break
