@@ -113,3 +113,25 @@ class TestPointSeed:
     def test_fits_in_uint64(self, seed, n):
         value = point_seed(seed, "grid", n=n)
         assert 0 <= value < 2**64
+
+
+# (seed, label, kwargs, first two ``integers(0, 2**63)`` of stream_rng,
+# point_seed), recorded before the label hash moved from a per-byte
+# generator to ``bytes.translate``; any change to the key bytes moves them.
+_PINNED_KEYS = [
+    (0, "trace-alias", {"n": 1024, "c": 2, "w": 5, "hash": "mod"},
+     [951959198472539455, 7049227396862546851], 5383941460585502273),
+    (0, "sweep-point", {}, [7863196382129504222, 4213322448902898099], 18375382503524924499),
+    (3, "alloc-placement", {"placement": "bump", "skew": 0.8, "wf": 0.25},
+     [4403082911321208321, 7434005194060460298], 12195921110274450370),
+    (3, "réseau-α", {"clé": "ключ", "x": (1, "é")},
+     [9197282541878317483, 9176338118570437736], 7317324652326365406),
+    (2**40 + 7, "trace-alias", {"n": 1024, "c": 2, "w": 5, "hash": "mod"},
+     [6006960691815121186, 6693236798075892156], 2199138207364552438),
+]
+
+
+@pytest.mark.parametrize("seed,label,kwargs,first,pseed", _PINNED_KEYS)
+def test_stream_keys_are_pinned(seed, label, kwargs, first, pseed):
+    assert stream_rng(seed, label, **kwargs).integers(0, 2**63, size=2).tolist() == first
+    assert point_seed(seed, label, **kwargs) == pseed
