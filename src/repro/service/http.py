@@ -193,6 +193,9 @@ class JsonHttpServer:
                 if not keep_alive:
                     break
         except (
+            # Shutdown cancels idle keep-alive connections; a task that
+            # ends cancelled makes asyncio's stream protocol log a traceback.
+            asyncio.CancelledError,
             asyncio.IncompleteReadError,
             asyncio.LimitOverrunError,
             ConnectionError,

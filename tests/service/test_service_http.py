@@ -938,8 +938,11 @@ class TestLifecycle:
             handle.stop()
             gc.collect()
         client.close()
-        destroyed = [r for r in caplog.records if "destroyed but it is pending" in r.getMessage()]
-        assert destroyed == []
+        # Neither "Task was destroyed but it is pending" nor a cancelled
+        # connection task's traceback from asyncio's stream protocol.
+        errors = [r.getMessage() for r in caplog.records
+                  if r.name == "asyncio" and r.levelno >= logging.ERROR]
+        assert errors == []
 
     def test_two_services_side_by_side(self):
         with ServiceThread(Service(ServiceConfig(port=0))) as a:
