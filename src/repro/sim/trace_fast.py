@@ -142,11 +142,11 @@ def _lemire_starts(
     """The scalar loop's start draws from one read of raw PCG64 output, or None.
 
     For ``2 <= L < 2**32`` a scalar ``integers(0, L)`` is the high word of
-    ``next_uint32() * L`` unless the low word is below ``L`` (Lemire; it
-    may then reject).  PCG64's ``next_uint32`` is a raw word's low half,
-    its high half buffered in the state (``has_uint32``/``uinteger``).
+    ``next_uint32() * L`` unless the low word is below ``(2**32 - L) % L``
+    (Lemire's rejection).  PCG64's ``next_uint32`` is a raw word's low
+    half, its high half buffered in the state (``has_uint32``/``uinteger``).
     Returns None, generator untouched, for another bit generator, a
-    bound outside ``[2, 2**32)`` or a draw that might reject.
+    bound outside ``[2, 2**32)`` or a draw that rejects.
     """
     saved = bits.state
     if saved["bit_generator"] != "PCG64" or not all(2 <= n < 1 << 32 for n in lengths):
@@ -161,12 +161,12 @@ def _lemire_starts(
     halves[buffered + 1 :: 2] = raw >> 32
     bounds = np.tile(np.array(lengths, dtype=np.uint64), samples)
     scaled = halves[:k] * bounds
-    if ((scaled & 0xFFFFFFFF) < bounds).any():
+    if ((scaled & 0xFFFFFFFF) < ((1 << 32) - bounds) % bounds).any():
         bits.state = saved
         return None
     state = bits.state
     state["has_uint32"] = fresh % 2
-    state["uinteger"] = int(raw[-1] >> 32) if len(raw) else saved["uinteger"]
+    state["uinteger"] = int(raw[-1]) >> 32 if len(raw) else saved["uinteger"]
     bits.state = state
     return (scaled >> 32).astype(np.int64).reshape(samples, len(lengths))
 
@@ -174,11 +174,12 @@ def _lemire_starts(
 def _scan_span(keys: np.ndarray, shift: int, w: int) -> np.ndarray:
     """Cutoff column of each window row; ``>= span`` where it is not reached.
 
-    ``keys`` is ``(rows, span)``: a write of block ``b`` keys as
-    ``b << shift`` and a read as the int64 maximum (``span < 1 << shift``);
-    columns are or-ed in here.  Sorting each row puts every block's first
-    write at the head of its group; the ``w``-th smallest head column is
-    the cutoff.  Non-heads and the read group rank as ``(1 << shift) - 1``.
+    ``keys`` is ``(rows, span)`` written-block ids shifted left by
+    ``shift`` (``span < 1 << shift``); columns are or-ed in here.  Sorting
+    each row puts every block's first write at the head of its group; the
+    ``w``-th smallest head column is the cutoff.  Non-heads rank as
+    ``(1 << shift) - 1``, and so does a group of int64-maximum keys (the
+    reads of the test suite's whole-stream ``_window_lengths_sparse`` oracle).
     """
     mask = (1 << shift) - 1
     keys |= np.arange(keys.shape[1])
@@ -195,7 +196,8 @@ def _write_cutoffs(ids: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     ``ids`` is one cycle of written-block ids, packable with a column;
     ``starts`` are sorted write indices in ``[0, len(ids)]``; an index
     ``>= len(ids)`` lies in the next cycle.  Spans double up to one
-    cycle, which holds every distinct id: only that pass counts them.
+    cycle, which holds every distinct id; the caller checks there are
+    at least ``w``.
     """
     m = len(ids)
     ext = np.concatenate([ids, ids])
@@ -203,10 +205,6 @@ def _write_cutoffs(ids: np.ndarray, starts: np.ndarray, w: int) -> np.ndarray:
     pending = np.arange(len(starts))
     span = min(2 * w, m)
     while True:
-        if span == m and (distinct := len(np.unique(ids))) < w:
-            raise ValueError(
-                f"stream has only {distinct} distinct written blocks; cannot reach W={w}"
-            )
         shift = span.bit_length()
         windows = np.lib.stride_tricks.sliding_window_view(ext, span)
         rows_per = max(1, _SCRATCH_ELEMS // span)
@@ -289,17 +287,19 @@ def _window_index(
     Raises the reference's "cannot reach W" error for a stream with
     fewer than ``w`` distinct written blocks.  Each offset takes the
     cutoff of its first write at or after it (past the last write, the
-    next cycle's first).  Written blocks too wide to pack with a column
-    are scanned as their dense ranks.
+    next cycle's first).  The scan runs on dense ids of the written
+    blocks, whatever the block values.
     """
     written_at = np.flatnonzero(is_write)
-    ids = blocks[written_at].astype(np.int64, copy=False)
-    if len(ids) and (ids.min() < 0 or int(ids.max()) >> (62 - len(ids).bit_length())):
-        ids = np.unique(ids, return_inverse=True)[1].astype(np.int64)
+    written, ids = np.unique(blocks[written_at], return_inverse=True)
+    if len(written) < w:
+        raise ValueError(
+            f"stream has only {len(written)} distinct written blocks; cannot reach W={w}"
+        )
     first = np.searchsorted(written_at, offsets)
     fresh = np.ones(len(first), dtype=bool)
     np.not_equal(first[1:], first[:-1], out=fresh[1:])
-    cut = _write_cutoffs(ids, first[fresh], w)
+    cut = _write_cutoffs(ids.astype(np.int64, copy=False), first[fresh], w)
     # A cutoff index >= M lies in the next cycle, n accesses later.
     cut_at = np.concatenate([written_at, written_at + len(blocks)])[cut]
     win_lens = cut_at[np.cumsum(fresh) - 1] - offsets + 1

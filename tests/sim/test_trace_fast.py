@@ -362,7 +362,7 @@ class TestRawDraws:
 
         ``_draw_starts`` reads raw PCG64 words in one pass where it can
         (the rest falls back to the loop: about half of all draws below
-        ``2**31 + 1`` may reject); values and the final generator state
+        ``2**31 + 1`` reject); values and the final generator state
         must match whichever way it went, with or without a buffered
         32-bit half before the call and for odd or even draw counts.
         """
@@ -381,8 +381,9 @@ class TestRawDraws:
 
     def test_start_draws_take_the_raw_pass(self, monkeypatch):
         # Small PCG64 bounds are vectorized (a rejection needs a low word
-        # below the bound: odds ~1e-9 here); a bound of 1, one of 2**32
-        # or Philox is not.
+        # below ``(2**32 - L) % L``: odds ~1e-9 here), and so is a power of
+        # two, which never rejects; a bound of 1, one of 2**32 or Philox
+        # is not.
         real, taken = trace_fast._lemire_starts, []
 
         def spy(*args):
@@ -392,10 +393,11 @@ class TestRawDraws:
 
         monkeypatch.setattr(trace_fast, "_lemire_starts", spy)
         _draw_starts(np.random.default_rng(0), [2, 3, 5], 201)
+        _draw_starts(np.random.default_rng(0), [2**31, 3], 201)
         _draw_starts(np.random.default_rng(0), [1, 3], 5)
         _draw_starts(np.random.default_rng(0), [2**32, 3], 5)
         _draw_starts(np.random.Generator(np.random.Philox(0)), [2, 3], 5)
-        assert taken == [True, False, False, False]
+        assert taken == [True, True, False, False, False]
 
 
 TestRegistryContract = registry_test_class(
