@@ -133,25 +133,38 @@ _INT64_LIMIT = 9.223372036854776e18
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+def _invert(z: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """``out[:] = ceil(z / scale)``: numpy's geometric inversion of exponential draws ``z``.
+
+    ``scale`` is ``-log1p(-p)``.  ``z`` is overwritten with the quotient.
+    Quotients from :data:`_INT64_LIMIT` up clamp to INT64_MAX, as numpy's
+    do; only then is there a mask pass.
+    """
+    np.divide(z, scale, out=z)
+    np.ceil(z, out=z)
+    if len(z) and z.max() >= _INT64_LIMIT:
+        big = z >= _INT64_LIMIT
+        z[big] = 0.0
+        out[...] = z
+        out[big] = _INT64_MAX
+    else:
+        out[...] = z
+
+
 def _geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
     """``rng.geometric(p, size=size)``: the same values and the same generator state.
 
     Below ``p = 1/3`` numpy draws each value as ``ceil(-E / log1p(-p))``
     from one ziggurat ``standard_exponential`` draw ``E``, clamped to
     INT64_MAX from :data:`_INT64_LIMIT` up; one vector exponential draw
-    inverted in place costs half as much.  From ``1/3`` up numpy searches,
-    and so does this (pinned in tests/sim/test_trace_fast.py).
+    inverted in place (:func:`_invert`) costs half as much.  From ``1/3``
+    up numpy searches, and so does this (pinned in
+    tests/sim/test_trace_fast.py).
     """
     if p >= 1 / 3:
         return rng.geometric(p, size=size)
-    z = rng.standard_exponential(size)
-    z /= -math.log1p(-p)
-    np.ceil(z, out=z)
-    big = z >= _INT64_LIMIT
-    if big.any():
-        z[big] = 0.0
-    out = z.astype(np.int64)
-    out[big] = _INT64_MAX
+    out = np.empty(size, dtype=np.int64)
+    _invert(rng.standard_exponential(size), -math.log1p(-p), out)
     return out
 
 
@@ -254,6 +267,12 @@ def _layout_new_blocks(
         dup_mask[first_idx] = False
         n_dup = n_new - len(seen)
         laid = seen.tolist()  # sorted: a membership test is a bisect
+        free = span - (bisect_left(laid, base + span) - bisect_left(laid, base))
+        if free < n_dup:
+            raise ValueError(
+                f"span {span} cannot hold {n_new} distinct new blocks: "
+                f"{n_dup} duplicates need fresh addresses and {free} are left"
+            )
         fresh: dict[int, None] = {}  # insertion-ordered
         while len(fresh) < n_dup:
             candidate = base + below(span)
@@ -264,56 +283,119 @@ def _layout_new_blocks(
     return out
 
 
+@dataclass(eq=False)
+class _Layout:
+    """Stage 1's draws, and the allocation targets worked out from them so far.
+
+    ``new_blocks`` and ``writable`` are the laid-out blocks and their
+    writable classes in allocation order.  Per access, ``is_new`` flags a
+    new block and ``offsets`` holds the reuse draw: a
+    ``standard_exponential`` value inverted with ``scale``
+    (``-log1p(-p)``) or, when ``scale`` is ``None``, a geometric integer.
+    ``new_at`` lists the new accesses' indices.  ``alloc_of[:done]`` holds
+    each access's allocation index, and ``allocated`` counts the new
+    accesses among ``[0, done)``.  Working out ``[done, hi)`` overwrites
+    that part of ``offsets``.
+    """
+
+    new_blocks: np.ndarray
+    writable: np.ndarray
+    is_new: np.ndarray
+    new_at: np.ndarray
+    offsets: np.ndarray
+    scale: float | None
+    alloc_of: np.ndarray
+    done: int = 0
+    allocated: int = 0
+
+    def extend(self, hi: int, fold: np.random.Generator | None = None) -> None:
+        """Work out ``alloc_of[done:hi]``, folding too-old targets with ``fold``'s doubles.
+
+        A reuse access touches ``allocated[i] - g`` (allocations up to
+        access ``i``, less its geometric offset ``g >= 1``; ``g = 1`` is
+        the newest), a new access its own allocation.  A target below 0
+        is folded back uniformly over history with one ``fold.random()``
+        double, drawn for new accesses too (the count is a draw count);
+        without ``fold`` no target in the range may be negative.
+        """
+        lo = self.done
+        if hi <= lo:
+            return
+        out = self.alloc_of[lo:hi]
+        if self.scale is None:
+            np.copyto(out, self.offsets[lo:hi])
+        else:
+            _invert(self.offsets[lo:hi], self.scale, out)
+        allocated = self.is_new[lo:hi].astype(np.int64)
+        allocated[0] += self.allocated
+        np.cumsum(allocated, out=allocated)  # in place: 3x faster than from bool
+        np.subtract(allocated, out, out=out)
+        if fold is not None:
+            neg = np.flatnonzero(out < 0)
+            out[neg] = (fold.random(len(neg)) * allocated[neg]).astype(np.int64)
+        a0, a1 = self.allocated, int(allocated[-1])
+        # the k-th new access is allocation k
+        self.alloc_of[self.new_at[a0:a1]] = np.arange(a0, a1)
+        self.done, self.allocated = hi, a1
+
+
 def _synthesize_layout(
     profile: BenchmarkProfile, n_accesses: int, rng: np.random.Generator, base: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> _Layout:
     """Stage 1 of :func:`synthesize_trace`: every draw whose count depends on ``n``.
 
-    Returns ``(new_blocks, writable, alloc_of)``: the laid-out blocks and
-    their writable classes in allocation order, and for each access the
-    allocation it touches.  All draws stay full length: new-block flags,
-    the layout, writable classes, reuse offsets and the too-old fold fix
-    the generator position of everything after them, and the layout's
-    duplicate fix checks each fresh address against every laid-out block.
-    The per-access gather is left to :func:`_gather_layout`, so a caller
-    that reads a prefix gathers only that prefix.
+    The draws are full length: new-block flags, the layout, writable
+    classes, reuse offsets and the too-old fold fix the generator position
+    of everything after them, and the layout's duplicate fix checks each
+    fresh address against every laid-out block.  The arithmetic on the
+    reuse offsets is not: it runs here only as far as the fold needs it,
+    and :func:`_gather_layout` does the rest for the prefix it fills.
+
+    The fold's count is exact because no target from access ``m`` on can
+    be negative.  The inversion is monotone, so every offset is at most
+    ``G``, the inverted largest draw; the allocation count never falls,
+    and from the ``G``-th new access (index ``m``) on it is at least
+    ``G``.  When ``G`` exceeds the new-access count (or clamps), ``m`` is
+    the whole trace.
     """
-    is_new = rng.random(n_accesses) < profile.new_block_rate
+    doubles = rng.random(n_accesses)
+    is_new = doubles < profile.new_block_rate
     is_new[0] = True  # the first access necessarily touches a new block
     n_new = int(np.count_nonzero(is_new))
 
     new_blocks = _layout_new_blocks(profile, n_new, rng, base)
     writable = rng.random(n_new) < profile.writable_fraction
 
-    # alloc_of[i] = index (into allocation order) of the block access i
-    # touches. New accesses touch their own allocation; reuse accesses
-    # pick a recency-biased earlier allocation, allocated[i] - g for a
-    # geometric g >= 1 (g = 1 is the newest).
-    allocated = is_new.astype(np.int64)  # allocations up to access i
-    np.cumsum(allocated, out=allocated)  # in place: 3x faster than from bool
-    alloc_of = _geometric(rng, profile.reuse_recency, n_accesses)
-    np.subtract(allocated, alloc_of, out=alloc_of)
-    # Fold out-of-range (too-old) targets back uniformly over history.
-    # ``neg`` spans every access, new ones too: its length is a draw count.
-    neg = np.flatnonzero(alloc_of < 0)
-    alloc_of[neg] = (rng.random(len(neg)) * allocated[neg]).astype(np.int64)
-    alloc_of[np.flatnonzero(is_new)] = np.arange(n_new)  # the k-th new access is allocation k
-    return new_blocks, writable, alloc_of
+    p = profile.reuse_recency
+    if p >= 1 / 3:  # numpy searches: the draws are the offsets
+        offsets, scale = rng.geometric(p, size=n_accesses), None
+        top = float(offsets.max())
+    else:  # the exponentials overwrite the flag doubles, in pages already touched
+        offsets, scale = rng.standard_exponential(out=doubles), -math.log1p(-p)
+        top = offsets.max() / scale
+    new_at = np.flatnonzero(is_new)
+    m = n_accesses if top > n_new else int(new_at[max(1, math.ceil(top)) - 1])
+    layout = _Layout(
+        new_blocks, writable, is_new, new_at, offsets, scale, np.empty(n_accesses, dtype=np.int64)
+    )
+    layout.extend(m, rng)
+    return layout
 
 
 def _gather_layout(
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray],
+    layout: _Layout,
     lo: int,
     hi: int,
     blocks: np.ndarray,
     writable_of: np.ndarray,
 ) -> None:
     """Fill ``blocks[lo:hi]`` and ``writable_of[lo:hi]`` from a stage-1 layout."""
-    new_blocks, writable, alloc_of = layout
+    layout.extend(hi)
+    alloc_of = layout.alloc_of[lo:hi]
     # Every index is in range, so ``clip`` changes nothing; unlike the
     # default ``raise`` it writes into ``out`` without a bounce buffer.
-    np.take(new_blocks, alloc_of[lo:hi], out=blocks[lo:hi], mode="clip")
-    np.take(writable, alloc_of[lo:hi], out=writable_of[lo:hi], mode="clip")
+    np.take(layout.new_blocks, alloc_of, out=blocks[lo:hi], mode="clip")
+    np.take(layout.writable, alloc_of, out=writable_of[lo:hi], mode="clip")
 
 
 def _draw_tail(
@@ -362,6 +444,7 @@ def synthesize_trace(
     blocks = np.empty(n_accesses, dtype=np.int64)
     writable_of = np.empty(n_accesses, dtype=bool)
     _gather_layout(layout, 0, n_accesses, blocks, writable_of)
+    del layout  # the tail's draws reuse its pages
     is_write = np.empty(n_accesses, dtype=bool)
     instr = np.empty(n_accesses, dtype=np.int64)
     _draw_tail(profile, writable_of, rng, rng, 0, n_accesses, is_write, instr)
@@ -378,16 +461,18 @@ def _trace_prefixes(
 ) -> Iterator[AccessTrace]:
     """Yield prefixes ``[0, hi)`` of ``synthesize_trace(profile, n_accesses, rng)``.
 
-    ``hi`` starts at ``first``, grows ×4 and stops at ``n_accesses``; a
-    consumer that stops early never pays for the rest of the per-access
-    work.  Stage 1's draws are full length (their counts fix the
-    generator position), but each prefix gathers its blocks and writable
-    classes for ``[lo, hi)`` only.  Store flags come from ``rng`` as in
-    :func:`synthesize_trace`;
-    the gaps come from a clone moved past all ``n_accesses`` store-flag
-    doubles with ``PCG64.advance`` (each ``random()`` double is exactly
-    one 64-bit output), where the full draw would start them.
+    ``hi`` starts at ``first`` (at least 1), grows ×4 and stops at
+    ``n_accesses``; a consumer that stops early never pays for the rest of
+    the per-access work.  Stage 1's draws are full length (their counts
+    fix the generator position), but each prefix works out its reuse
+    targets, blocks and writable classes for ``[lo, hi)`` only.  Store
+    flags come from ``rng`` as in :func:`synthesize_trace`; the gaps come
+    from a clone moved past all ``n_accesses`` store-flag doubles with
+    ``PCG64.advance`` (each ``random()`` double is exactly one 64-bit
+    output), where the full draw would start them.
     """
+    if first < 1:
+        raise ValueError(f"first must be at least 1, got {first}")
     if n_accesses == 0:
         yield AccessTrace(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
         return

@@ -70,6 +70,12 @@ class TestPrefixEquivalence:
         for prefix in prefixes:
             assert_same_trace(prefix, full[: len(prefix)])
 
+    @pytest.mark.parametrize("first", [0, -1])
+    def test_rejects_a_first_chunk_below_one(self, first):
+        profile = SPEC2000_PROFILES["gcc"]
+        with pytest.raises(ValueError, match="first must be at least 1"):
+            next(_trace_prefixes(profile, 10, np.random.default_rng(0), first))
+
     def test_rejects_generators_without_pcg64_advance(self):
         profile = SPEC2000_PROFILES["gcc"]
         philox = np.random.Generator(np.random.Philox(0))

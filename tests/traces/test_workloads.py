@@ -104,6 +104,25 @@ class TestSynthesizeTrace:
         assert t.footprint < 0.1 * len(t)  # strong temporal locality
 
 
+class TestLayoutSpan:
+    """The duplicate fix draws fresh addresses from ``[base, base + span)``."""
+
+    def random_only(self, span):
+        return BenchmarkProfile(
+            name="x", new_block_rate=1.0, span=span, seq_frac=0, stride_frac=0, rand_frac=1,
+            hot_frac=0,
+        )
+
+    def test_span_too_small_for_the_new_blocks_raises(self):
+        with pytest.raises(ValueError, match=r"span 4 cannot hold 100 distinct new blocks"):
+            synthesize_trace(self.random_only(4), 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("base", [0, 1 << 30])
+    def test_span_with_exactly_enough_room(self, base):
+        trace = synthesize_trace(self.random_only(100), 100, np.random.default_rng(0), base=base)
+        assert sorted(trace.blocks.tolist()) == list(range(base, base + 100))
+
+
 class TestSpecjbbLike:
     def test_shape(self):
         tt = specjbb_like(4, 5000, seed=11)
