@@ -1,6 +1,6 @@
 """Parallel sweep engine — wall-clock speedup and equivalence.
 
-The engine's contract is twofold: ``run_sweep_parallel`` must return
+The engine's contract is twofold: ``run_grid(jobs=...)`` must return
 bit-identical results to serial ``run_sweep`` (checked here on the full
 Figure 4(a) grid), and on multi-core hardware it must actually buy
 wall-clock — the acceptance bar is >= 2x at ``jobs=4`` on a 4-core
@@ -18,8 +18,7 @@ import pytest
 
 from benchmarks.conftest import BENCH_SEED, emit
 from repro.sim.open_system import OpenSystemConfig, simulate_open_system
-from repro.sim.parallel import run_sweep_parallel
-from repro.sim.sweep import run_sweep, sweep_grid
+from repro.sim.sweep import run_grid, run_sweep, sweep_grid
 
 CORES = os.cpu_count() or 1
 SAMPLES = 4000
@@ -38,7 +37,7 @@ def test_parallel_matches_serial_full_grid(benchmark):
     serial = run_sweep(fig4a_point, grid)
 
     par = benchmark.pedantic(
-        lambda: run_sweep_parallel(fig4a_point, grid, jobs=2), rounds=1, iterations=1
+        lambda: run_grid(fig4a_point, grid, jobs=2), rounds=1, iterations=1
     )
 
     assert par.points == serial.points
@@ -57,7 +56,7 @@ def test_parallel_speedup_4_jobs(benchmark):
 
     start = time.perf_counter()
     par = benchmark.pedantic(
-        lambda: run_sweep_parallel(fig4a_point, grid, jobs=4), rounds=1, iterations=1
+        lambda: run_grid(fig4a_point, grid, jobs=4), rounds=1, iterations=1
     )
     parallel_seconds = time.perf_counter() - start
 

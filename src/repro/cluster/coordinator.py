@@ -51,6 +51,7 @@ from repro.service.cache import ResultCache, cache_key
 from repro.service.http import HTTPError, JsonHttpServer, ServerThread
 from repro.service.metrics import MetricsRegistry
 from repro.sim.frame import SweepFrame
+from repro.sim.parallel import process_pool
 from repro.sim.sweep import SweepResult, SweepSink
 
 __all__ = [
@@ -635,7 +636,8 @@ def run_sweep_cluster(
 
     Boots a :class:`CoordinatorThread` and ``workers`` in-process
     :class:`~repro.cluster.worker.WorkerThread` loops against it, waits
-    for the merged result, and tears everything down.  This is the
+    for the merged result, and tears everything down; the fleet shares
+    one pool of ``jobs_per_worker`` processes.  This is the
     localhost execution path behind the service's ``execution: cluster``
     mode and the ``--cluster`` flag of the CLI and of ``repro
     experiments run``; multi-machine runs use ``repro cluster
@@ -668,31 +670,32 @@ def run_sweep_cluster(
             crash_after=crash_after,
         )).start())
 
-    try:
-        for i in range(workers):
-            spawn(f"local-{i}", depart_after if i == 0 else None)
-        join_at = None if join_after is None else time.monotonic() + join_after
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not coordinator.wait(0.05):
-            now = time.monotonic()
-            if join_at is not None and now >= join_at:
-                spawn(f"local-join-{len(fleet)}")
-                join_at = None
-            if deadline is not None and now > deadline:
-                raise ClusterError(
-                    f"run {coordinator.run_id} did not complete within {timeout:g}s"
-                )
-            if join_at is None and not any(w.alive for w in fleet):
-                raise ClusterError(
-                    f"all {len(fleet)} workers exited with run {coordinator.run_id} "
-                    f"incomplete: {coordinator.leases.snapshot()}"
-                )
-        return coordinator.result(timeout=0.0)
-    finally:
-        coordinator.drain()
-        for w in fleet:
-            w.stop(timeout=10.0)
-        handle.stop()
+    with process_pool(jobs_per_worker):
+        try:
+            for i in range(workers):
+                spawn(f"local-{i}", depart_after if i == 0 else None)
+            join_at = None if join_after is None else time.monotonic() + join_after
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while not coordinator.wait(0.05):
+                now = time.monotonic()
+                if join_at is not None and now >= join_at:
+                    spawn(f"local-join-{len(fleet)}")
+                    join_at = None
+                if deadline is not None and now > deadline:
+                    raise ClusterError(
+                        f"run {coordinator.run_id} did not complete within {timeout:g}s"
+                    )
+                if join_at is None and not any(w.alive for w in fleet):
+                    raise ClusterError(
+                        f"all {len(fleet)} workers exited with run {coordinator.run_id} "
+                        f"incomplete: {coordinator.leases.snapshot()}"
+                    )
+            return coordinator.result(timeout=0.0)
+        finally:
+            coordinator.drain()
+            for w in fleet:
+                w.stop(timeout=10.0)
+            handle.stop()
 
 
 def run_sweep_cluster_from_callable(

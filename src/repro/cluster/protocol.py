@@ -234,10 +234,10 @@ def chunk_grid(n_points: int, chunk_size: int) -> list[ChunkSpec]:
 def default_chunk_size(n_points: int, workers: int) -> int:
     """Default chunk size: about four chunks per expected worker.
 
-    The one default for coordinator leases, :func:`repro.sim.sweep.run_grid`'s
-    checkpoint chunks and :func:`repro.sim.parallel.run_sweep_parallel`'s
-    pool tasks — small enough to balance stragglers, large enough that
-    per-chunk overhead stays negligible.
+    The one default for coordinator leases and for
+    :func:`repro.sim.sweep.run_grid`'s chunks, which are both its
+    checkpoints and its pool tasks — small enough to balance stragglers,
+    large enough that per-chunk overhead stays negligible.
     """
     if n_points <= 0:
         return 1

@@ -5,7 +5,8 @@ A worker is a plain synchronous loop around the coordinator protocol:
 1. ``GET /cluster/v1/spec`` — learn the run (task, grid, chunking, ttl).
 2. ``POST /cluster/v1/lease`` — claim the next chunk, or learn to wait.
 3. Evaluate the chunk through :func:`repro.sim.sweep.run_grid` — the
-   executor every surface uses, serial or on a ``jobs``-process pool —
+   executor every surface uses, serial or on the worker's one
+   ``jobs``-process pool, held for its whole lease loop —
    so per-point seeds, and therefore outcomes, are byte-identical to a
    single-machine run.
 4. ``POST /cluster/v1/result`` — submit outcomes (idempotent on the
@@ -20,6 +21,7 @@ the CI smoke job.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import uuid
 from dataclasses import dataclass, field
@@ -34,7 +36,7 @@ from repro.cluster.protocol import (
     SPEC_PATH,
     SweepSpec,
 )
-from repro.sim.parallel import first_failure
+from repro.sim.parallel import first_failure, process_pool
 from repro.sim.sweep import run_grid
 
 __all__ = ["ClusterWorker", "WorkerConfig", "WorkerThread", "run_worker"]
@@ -57,8 +59,8 @@ class WorkerConfig:
         when omitted.
     jobs:
         In-worker parallelism: 1 evaluates chunks serially; more fans
-        each chunk out over a process pool of that size (requires a
-        picklable point function).
+        each chunk out over one process pool of that size, kept for the
+        worker's whole run (requires a picklable point function).
     poll_interval:
         Sleep between lease polls while the run has work outstanding
         but nothing currently claimable.
@@ -134,34 +136,35 @@ class ClusterWorker:
         )
         heartbeat.start()
         try:
-            while not self._stop.is_set():
-                try:
-                    reply = client.post(
-                        LEASE_PATH, {"worker": cfg.worker_id, "run_id": spec.run_id}
-                    )
-                except (CoordinatorError, CoordinatorUnavailable) as exc:
-                    summary["state"] = f"lost-coordinator: {exc}"
-                    break
-                state = reply.get("state")
-                if state == "lease":
-                    if (
-                        cfg.crash_after is not None
-                        and summary["chunks_completed"] >= cfg.crash_after
-                    ):
-                        # Injected death: hold the lease, stop heartbeating,
-                        # never submit.  The coordinator must recover.
-                        summary["crashed"] = True
-                        summary["state"] = "crashed"
-                        return summary
-                    self._execute(client, spec, fn, reply, summary)
-                elif state == "wait":
-                    if self._stop.wait(cfg.poll_interval):
+            with process_pool(cfg.jobs):
+                while not self._stop.is_set():
+                    try:
+                        reply = client.post(
+                            LEASE_PATH, {"worker": cfg.worker_id, "run_id": spec.run_id}
+                        )
+                    except (CoordinatorError, CoordinatorUnavailable) as exc:
+                        summary["state"] = f"lost-coordinator: {exc}"
                         break
-                else:  # done / failed / anything terminal
-                    summary["state"] = str(state)
-                    break
-            else:
-                summary["state"] = "stopped"
+                    state = reply.get("state")
+                    if state == "lease":
+                        if (
+                            cfg.crash_after is not None
+                            and summary["chunks_completed"] >= cfg.crash_after
+                        ):
+                            # Injected death: hold the lease, stop heartbeating,
+                            # never submit.  The coordinator must recover.
+                            summary["crashed"] = True
+                            summary["state"] = "crashed"
+                            return summary
+                        self._execute(client, spec, fn, reply, summary)
+                    elif state == "wait":
+                        if self._stop.wait(cfg.poll_interval):
+                            break
+                    else:  # done / failed / anything terminal
+                        summary["state"] = str(state)
+                        break
+                else:
+                    summary["state"] = "stopped"
             if summary["state"] == "unknown":
                 summary["state"] = "stopped"
         finally:
@@ -259,13 +262,16 @@ class WorkerThread:
 
     The shape tests and service-local cluster mode need: start N of
     these against an in-process coordinator, join them, read summaries.
+    The loop runs in a copy of its creator's context, so the workers of
+    one fleet share the fleet's :func:`~repro.sim.parallel.process_pool`.
     """
 
     def __init__(self, config: WorkerConfig) -> None:
         self.worker = ClusterWorker(config)
         self.summary: Optional[dict[str, Any]] = None
         self._thread = threading.Thread(
-            target=self._run, name=config.worker_id, daemon=True
+            target=contextvars.copy_context().run, args=(self._run,),
+            name=config.worker_id, daemon=True,
         )
 
     def _run(self) -> None:

@@ -15,9 +15,8 @@ way in every mode (keyed by
 :func:`~repro.cluster.coordinator.chunk_cache_key`):
 
 * serial / ``--jobs N`` — :meth:`~repro.sim.catalog.SweepKind.run`,
-  i.e. :func:`repro.sim.sweep.run_grid` serially or on one process pool
-  per figure;
-* ``--cluster N`` (with ``--jobs M``, a pool per worker) —
+  i.e. :func:`repro.sim.sweep.run_grid` serially or on a process pool;
+* ``--cluster N`` (with ``--jobs M``, workers sharing that pool) —
   :func:`~repro.cluster.coordinator.run_sweep_cluster`, an in-process
   elastic fleet with work stealing enabled and optional mid-run
   membership churn (one injected departure, one late join) for
@@ -46,6 +45,7 @@ from repro.experiments.sizing import ChunkSizer
 from repro.experiments.specs import EXPERIMENTS, QUALITIES, ExperimentSpec
 from repro.service.cache import ResultCache
 from repro.sim.catalog import SWEEP_KINDS
+from repro.sim.parallel import process_pool
 
 __all__ = [
     "ExperimentInterrupted",
@@ -116,8 +116,8 @@ class ExperimentsConfig:
     seed:
         Master seed shared by every figure.
     jobs:
-        Process-pool width: of the run, or of each cluster worker when
-        combined with ``cluster``.
+        Width of the run's one process pool, which the cluster workers
+        share when combined with ``cluster``.
     cluster:
         Elastic in-process worker count.
     figures:
@@ -260,71 +260,72 @@ def run_experiments(cfg: ExperimentsConfig) -> ExperimentsResult:
     all_params: dict[str, dict[str, Any]] = {}
     telemetry: list[FigureTelemetry] = []
 
-    for spec in _selected(cfg):
-        kind = SWEEP_KINDS[spec.kind]
-        params = spec.params(cfg.quality)
-        all_params[spec.figure] = params
-        manifest.plan_figure(spec.figure, spec.kind, params, cfg.seed)
-        started = time.perf_counter()
-        computed_before = cache.computed
-        stolen = cluster_workers = 0
-        sweep = None
-        if not kind.clusterable:
-            n_points = chunk_size = chunks = manifest.pin_chunking(spec.figure, 1, 1)
-            manifest.save(out_dir)
-            key = kind.result_key(params, cfg.seed)
-            hit, result = cache.lookup(key)
-            if not hit:
-                result = kind.execute(params, cfg.seed, cfg.jobs)
-                cache.put(key, result)
-        else:
-            grid = kind.grid(params)
-            n_points = len(grid)
-            recommended = sizer.recommend(n_points, workers)
-            chunk_size = manifest.pin_chunking(
-                spec.figure, recommended, len(chunk_grid(n_points, recommended))
-            )
-            chunks = len(chunk_grid(n_points, chunk_size))
-            manifest.save(out_dir)
-            if cfg.cluster is None:
-                sweep = kind.run(
-                    params, cfg.seed, jobs=cfg.jobs, cache=cache,
-                    chunk_size=chunk_size,
-                )
+    with process_pool(cfg.jobs or 1):  # one pool for every figure (and cluster worker)
+        for spec in _selected(cfg):
+            kind = SWEEP_KINDS[spec.kind]
+            params = spec.params(cfg.quality)
+            all_params[spec.figure] = params
+            manifest.plan_figure(spec.figure, spec.kind, params, cfg.seed)
+            started = time.perf_counter()
+            computed_before = cache.computed
+            stolen = cluster_workers = 0
+            sweep = None
+            if not kind.clusterable:
+                n_points = chunk_size = chunks = manifest.pin_chunking(spec.figure, 1, 1)
+                manifest.save(out_dir)
+                key = kind.result_key(params, cfg.seed)
+                hit, result = cache.lookup(key)
+                if not hit:
+                    result = kind.execute(params, cfg.seed, cfg.jobs)
+                    cache.put(key, result)
             else:
-                sweep = run_sweep_cluster(
-                    kind.task(params, cfg.seed), grid,
-                    workers=cfg.cluster, jobs_per_worker=cfg.jobs or 1,
-                    config=CoordinatorConfig(
-                        lease_ttl=cfg.lease_ttl, chunk_size=chunk_size,
-                        steal_min_age=cfg.lease_ttl / 2,
-                    ),
-                    cache=cache, timeout=FIGURE_TIMEOUT,
-                    frame=kind.make_frame(params),
-                    depart_after=depart_after, join_after=join_after,
+                grid = kind.grid(params)
+                n_points = len(grid)
+                recommended = sizer.recommend(n_points, workers)
+                chunk_size = manifest.pin_chunking(
+                    spec.figure, recommended, len(chunk_grid(n_points, recommended))
                 )
-                depart_after = join_after = None  # one churn event each per run
-                stolen = sweep.telemetry.leases_stolen
-                cluster_workers = max(1, sweep.telemetry.workers)
-        wall = time.perf_counter() - started
-        # Every chunk the cache does not serve (an entry of the wrong shape
-        # included) is computed and stored once, in every mode.
-        computed = cache.computed - computed_before
-        if sweep is not None:
-            if computed:
-                sizer.observe(computed * chunk_size, wall, workers)
-            result = kind.assemble(params, sweep)
-        results[spec.figure] = result
-        manifest.mark_done(spec.figure)
-        manifest.save(out_dir)
-        fig_t = FigureTelemetry(
-            figure=spec.figure, kind=spec.kind, n_points=n_points,
-            chunks=chunks, chunk_size=chunk_size, cache_hits=chunks - computed,
-            computed_chunks=computed, wall_seconds=wall,
-            workers=cluster_workers, leases_stolen=stolen,
-        )
-        telemetry.append(fig_t)
-        _log(fig_t.summary())
+                chunks = len(chunk_grid(n_points, chunk_size))
+                manifest.save(out_dir)
+                if cfg.cluster is None:
+                    sweep = kind.run(
+                        params, cfg.seed, jobs=cfg.jobs, cache=cache,
+                        chunk_size=chunk_size,
+                    )
+                else:
+                    sweep = run_sweep_cluster(
+                        kind.task(params, cfg.seed), grid,
+                        workers=cfg.cluster, jobs_per_worker=cfg.jobs or 1,
+                        config=CoordinatorConfig(
+                            lease_ttl=cfg.lease_ttl, chunk_size=chunk_size,
+                            steal_min_age=cfg.lease_ttl / 2,
+                        ),
+                        cache=cache, timeout=FIGURE_TIMEOUT,
+                        frame=kind.make_frame(params),
+                        depart_after=depart_after, join_after=join_after,
+                    )
+                    depart_after = join_after = None  # one churn event each per run
+                    stolen = sweep.telemetry.leases_stolen
+                    cluster_workers = max(1, sweep.telemetry.workers)
+            wall = time.perf_counter() - started
+            # Every chunk the cache does not serve (an entry of the wrong shape
+            # included) is computed and stored once, in every mode.
+            computed = cache.computed - computed_before
+            if sweep is not None:
+                if computed:
+                    sizer.observe(computed * chunk_size, wall, workers)
+                result = kind.assemble(params, sweep)
+            results[spec.figure] = result
+            manifest.mark_done(spec.figure)
+            manifest.save(out_dir)
+            fig_t = FigureTelemetry(
+                figure=spec.figure, kind=spec.kind, n_points=n_points,
+                chunks=chunks, chunk_size=chunk_size, cache_hits=chunks - computed,
+                computed_chunks=computed, wall_seconds=wall,
+                workers=cluster_workers, leases_stolen=stolen,
+            )
+            telemetry.append(fig_t)
+            _log(fig_t.summary())
 
     report_md, report_json = write_artifact(
         out_dir, cfg.quality, cfg.seed, results, all_params

@@ -30,8 +30,9 @@ Each engine reproduces one of the paper's measurement protocols:
 * :mod:`repro.sim.sweep` — parameter-grid utilities and
   :func:`~repro.sim.sweep.run_grid`, the one executor that picks
   serial, process-pool or cluster execution.
-* :mod:`repro.sim.parallel` — process-pool sweep engine, bit-identical
-  to the serial runner via coordinate-sharded RNG streams.
+* :mod:`repro.sim.parallel` — the process pool behind ``run_grid(jobs=)``,
+  bit-identical to the serial runner via coordinate-sharded RNG streams;
+  :func:`~repro.sim.parallel.process_pool` shares one pool across runs.
 """
 
 from repro.sim.closed_fast import simulate_closed_system_fast
@@ -78,7 +79,7 @@ from repro.sim.overflow import (
     simulate_htm_overflow,
 )
 from repro.sim.overflow_fast import simulate_htm_overflow_fast
-from repro.sim.parallel import SweepFailure, SweepTelemetry, run_sweep_parallel
+from repro.sim.parallel import SweepFailure, SweepTelemetry, process_pool
 from repro.sim.placement import (
     PlacementConflictConfig,
     PlacementConflictResult,
@@ -135,9 +136,9 @@ __all__ = [
     "overflow_distribution",
     "plain_read_violation_rate",
     "plain_write_violation_rate",
+    "process_pool",
     "run_grid",
     "run_sweep",
-    "run_sweep_parallel",
     "simulate_closed_system",
     "simulate_closed_system_fast",
     "simulate_htm_overflow",

@@ -1148,7 +1148,7 @@ def execute_sweep(
 
     ``execution="cluster"`` distributes a grid-shaped kind across an
     in-process coordinator + worker fleet (``cluster_workers`` strong,
-    each worker with a pool of ``jobs`` processes) via
+    sharing one pool of ``jobs`` processes) via
     :meth:`SweepKind.run`; the determinism contract makes the response
     byte-identical to the local path, so callers need not care which
     ran.  Kinds without a grid decomposition (``model``) always execute

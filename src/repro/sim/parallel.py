@@ -1,42 +1,40 @@
-"""Process-pool execution engine for parameter sweeps.
+"""The process pool behind :func:`repro.sim.sweep.run_grid`'s ``jobs > 1`` branch.
 
 The paper's validation (§4, Figures 4–6) rests on exhaustive N × C × W
-grids of 1000–10000-sample Monte Carlo runs.  Each grid point is
-independent, so the sweep is embarrassingly parallel — but naive
-parallelism breaks reproducibility if randomness leaks from worker
-identity, chunk layout, or completion order.  This engine keeps the
-determinism contract of :func:`repro.sim.sweep.run_sweep`:
+grids of Monte Carlo runs whose points are independent.  Parallelism
+keeps the determinism contract of :func:`repro.sim.sweep.run_sweep`:
+every point's randomness derives only from its coordinates (via
+:func:`repro.util.rng.point_seed`), and outcomes land at their grid
+indices whichever worker finishes first, so ``run_grid(fn, points,
+jobs=k)`` is bit-identical to the serial runner for every ``k`` and
+``chunk_size``.
 
-* every point's randomness derives only from its coordinates (via
-  :func:`repro.util.rng.point_seed` when ``seed`` is given, or from the
-  point's own config seed otherwise), and
-* outcomes are reassembled in grid order regardless of which worker
-  finished first,
+A point that raises is retried up to :data:`RETRIES` times and then
+recorded as a :class:`SweepFailure`; a worker that dies mid-chunk
+(segfault, ``os._exit``) breaks the pool, which is replaced, and the
+lost points re-run in isolated one-worker pools so a poisoned point
+cannot take its chunk-mates down.  A run never hangs or returns a
+partial grid.
 
-so ``run_sweep_parallel(fn, points, jobs=k)`` is bit-identical to the
-serial runner for every ``k`` and ``chunk_size``.
-
-Robustness: a point that raises is retried up to ``retries`` times and then recorded as a :class:`SweepFailure` outcome;
-a worker that dies mid-chunk (segfault, ``os._exit``) breaks the pool,
-which the engine rebuilds, re-running the lost points in isolated
-single-worker pools so one poisoned point cannot take its chunk-mates
-down with it.  The run always completes with a full-length
-:class:`~repro.sim.sweep.SweepResult` — never a hang or a partial grid.
-
-One pool serves every chunk it is handed, and ``on_chunk`` hears of
-each as soon as all its points settle cleanly: that is how
-:func:`repro.sim.sweep.run_grid` checkpoints a grid from one pool.
+:func:`process_pool` opens a scope whose one executor, started on the
+first submit, serves every pool run inside it: an experiments run, an
+in-process cluster fleet and a cluster worker each hold one, so worker
+processes (and the caches they keep warm) live as long as the run.  A
+``run_grid`` call outside any scope opens one for itself.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.sim.sweep import SweepResult, SweepSink, _call_point
 
@@ -44,10 +42,12 @@ __all__ = [
     "SweepFailure",
     "SweepTelemetry",
     "first_failure",
+    "process_pool",
     "raise_first_failure",
-    "run_sweep_parallel",
 ]
 
+#: Re-executions allowed per point before it is recorded as a :class:`SweepFailure`.
+RETRIES = 1
 _CRASH_MESSAGE = "worker process died"
 
 
@@ -104,7 +104,7 @@ def raise_first_failure(result: SweepResult, name: str) -> None:
 
 @dataclass(frozen=True)
 class SweepTelemetry:
-    """Observability record of one parallel sweep.
+    """Observability record of one pool run.
 
     Attributes
     ----------
@@ -249,116 +249,112 @@ def _run_chunk(
     return [(index, _run_point(fn, point, seed, label)) for index, point in chunk]
 
 
-def run_sweep_parallel(
-    fn: Callable[..., Any],
-    points: Iterable[Mapping[str, Any]],
-    *,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    seed: Optional[int] = None,
-    label: str = "sweep-point",
-    retries: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
-    chunks: Optional[Sequence[Any]] = None,
-    on_chunk: Optional[Callable[[Any, list[Any]], None]] = None,
-) -> SweepResult:
-    """Evaluate ``fn(**point)`` at every grid point on a process pool.
+class _PoolScope:
+    """The one executor of a :func:`process_pool` block, shared by its threads."""
 
-    Bit-identical to :func:`repro.sim.sweep.run_sweep` with the same
-    ``seed``/``label``, for any ``jobs`` and ``chunk_size``: each point's
-    randomness is sharded by coordinates, and outcomes are reassembled in
-    grid order.  ``fn`` must be picklable (a module-level function or a
-    :func:`functools.partial` of one).
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self.lock = threading.Lock()
+        self.executor: Optional[ProcessPoolExecutor] = None
 
-    Parameters
-    ----------
-    fn:
-        Point evaluator, called as ``fn(**point)`` (plus ``seed=`` when
-        ``seed`` is given).
-    points:
-        The grid, e.g. from :func:`repro.sim.sweep.sweep_grid`.
-    jobs:
-        Worker processes (>= 1).
-    chunk_size:
-        Points per submitted task; the default,
-        :func:`repro.cluster.protocol.default_chunk_size`, splits the
-        grid into about four chunks per worker to balance scheduling
-        overhead against tail latency.
-    seed:
-        Master seed; when given, each call receives an independent
-        ``seed=`` keyword from :func:`repro.util.rng.point_seed`.
-    label:
-        Stream label folded into each point's derived seed.
-    retries:
-        Re-executions allowed per point before recording a
-        :class:`SweepFailure`.
-    progress:
-        Optional callback ``progress(done, total)`` invoked from the
-        driving process as points settle.
-    chunks:
-        The :class:`~repro.cluster.protocol.ChunkSpec` slices of the
-        grid to evaluate (default: all of it, by ``chunk_size``); the
-        points outside them keep a ``None`` outcome.
-    on_chunk:
-        Optional callback ``on_chunk(chunk, outcomes)`` invoked from the
-        driving process once a chunk's points all settle cleanly.
+    def start(self) -> ProcessPoolExecutor:
+        """The scope's executor, started now if there is none."""
+        with self.lock:
+            if self.executor is None:
+                self.executor = ProcessPoolExecutor(max_workers=self.jobs)
+            return self.executor
 
-    Returns
-    -------
-    SweepResult
-        Points in grid order; failed points carry a
-        :class:`SweepFailure` outcome.  ``result.telemetry`` holds a
-        :class:`SweepTelemetry` over the evaluated points.
+    def discard(self, executor: Optional[ProcessPoolExecutor]) -> None:
+        """Abandon ``executor`` unless another run already replaced it."""
+        with self.lock:
+            if executor is None or executor is not self.executor:
+                return
+            self.executor = None
+        _abandon(executor)
+
+
+_SCOPE: ContextVar[Optional[_PoolScope]] = ContextVar("repro_process_pool", default=None)
+
+
+@contextmanager
+def process_pool(jobs: int) -> Iterator[None]:
+    """Run every ``run_grid(jobs=jobs)`` inside the block on one process pool.
+
+    The pool starts on the first submit, so a block that runs nothing on
+    it starts no process.  Runs in this context, and in threads started
+    in a copy of it, share the pool, each with at most ``jobs`` chunks in
+    flight.  It is replaced after a worker crash, and abandoned (workers
+    killed) when a run leaves with chunks still in flight and when the
+    block exits.  Inside a scope of the same width the block joins it.
     """
-    from repro.cluster.protocol import chunk_grid, default_chunk_size
+    current = _SCOPE.get()
+    if current is not None and current.jobs == jobs:
+        yield
+        return
+    scope = _PoolScope(jobs)
+    token = _SCOPE.set(scope)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+        scope.discard(scope.executor)
 
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if retries < 0:
-        raise ValueError(f"retries must be non-negative, got {retries}")
 
-    grid = [dict(point) for point in points]
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(grid), jobs)
-    if chunks is None:
-        chunks = chunk_grid(len(grid), chunk_size)
-    owner = {i: chunk for chunk in chunks for i in range(chunk.start, chunk.stop)}
-    n = len(owner)
-    unsettled = {chunk: chunk.count for chunk in chunks}
+def _run_on_pool(
+    fn: Callable[..., Any],
+    sink: SweepSink,
+    chunks: Sequence[Any],
+    settle: Callable[[Any, list[Any]], None],
+    *,
+    jobs: int,
+    chunk_size: int,
+    seed: Optional[int],
+    label: str,
+    progress: Optional[Callable[[int, int], None]],
+) -> SweepResult:
+    """Evaluate ``chunks`` of ``sink``'s grid on the scope's pool, ``jobs`` in flight.
 
+    :func:`repro.sim.sweep.run_grid` calls this inside ``process_pool(jobs)``.
+    Each chunk whose points all settle cleanly goes to ``settle(chunk,
+    outcomes)``; a chunk with a failed point never does, and the result
+    is then list-backed, holding a :class:`SweepFailure` at each failed
+    index (and, when ``sink`` has no frame, every settled outcome).
+    ``result.telemetry`` is a :class:`SweepTelemetry` over the
+    evaluated points; ``progress(done, total)`` hears of them as they settle.
+    """
+    scope = _SCOPE.get()
+    assert scope is not None, "run inside process_pool()"
+    rows = sink.points
     start = time.perf_counter()
-    sink = SweepSink(grid)
-    durations = [0.0] * len(grid)
-    attempts = [0] * len(grid)
-    failures = 0
-    retries_used = 0
-    settled = 0
-
-    def note_progress() -> None:
-        if progress is not None:
-            progress(settled, n)
-
-    todo: deque[list[tuple[int, dict[str, Any]]]] = deque(
-        [(i, grid[i]) for i in range(chunk.start, chunk.stop)] for chunk in chunks
+    durations = [0.0] * len(rows)
+    attempts = [0] * len(rows)
+    pending = {chunk: [None] * chunk.count for chunk in chunks}
+    unsettled = {chunk: chunk.count for chunk in chunks}
+    failed: dict[Any, list[Any]] = {}
+    failures = retries_used = settled = 0
+    total = sum(unsettled.values())
+    report = progress or (lambda done, total: None)
+    todo = deque(  # units of work: (chunk, its indexed points)
+        (chunk, [(i, rows[i]) for i in range(chunk.start, chunk.stop)]) for chunk in chunks
     )
 
-    def record(index: int, result: Optional[tuple[str, Any, float]]) -> None:
+    def record(chunk: Any, index: int, result: Optional[tuple[str, Any, float]]) -> None:
         """Settle one point from its final worker triple (``None``: crashed)."""
         nonlocal failures, settled
         status, payload, seconds = result or ("crash", _CRASH_MESSAGE, 0.0)
         durations[index] += seconds
-        outcome = payload if status == "ok" else SweepFailure(
-            dict(grid[index]), status, payload, attempts[index]
-        )
         failures += status != "ok"
-        sink.fill(index, outcome)
+        pending[chunk][index - chunk.start] = payload if status == "ok" else SweepFailure(
+            dict(rows[index]), status, payload, attempts[index]
+        )
         settled += 1
-        chunk = owner[index]
         unsettled[chunk] -= 1
-        if on_chunk is not None and not unsettled[chunk]:
-            outcomes = sink.outcomes[chunk.start:chunk.stop]
-            if not any(isinstance(o, SweepFailure) for o in outcomes):
-                on_chunk(chunk, outcomes)
+        if not unsettled[chunk]:
+            outcomes = pending.pop(chunk)
+            if any(isinstance(o, SweepFailure) for o in outcomes):
+                failed[chunk] = outcomes
+            else:
+                settle(chunk, outcomes)
 
     def retry_isolated(index: int, point: dict[str, Any]) -> Optional[tuple[str, Any, float]]:
         """Re-run one crash-affected point in throwaway one-worker pools.
@@ -370,7 +366,7 @@ def run_sweep_parallel(
         """
         nonlocal retries_used
         last: Optional[tuple[str, Any, float]] = None
-        while attempts[index] < 1 + retries:
+        while attempts[index] < 1 + RETRIES:
             attempts[index] += 1
             retries_used += 1
             with ProcessPoolExecutor(max_workers=1) as solo:
@@ -385,63 +381,63 @@ def run_sweep_parallel(
                 return triple
         return last
 
-    executor = ProcessPoolExecutor(max_workers=jobs) if todo else None
-    in_flight: dict[Future, list[tuple[int, dict[str, Any]]]] = {}
+    executor: Optional[ProcessPoolExecutor] = None
+    in_flight: dict[Future, tuple[Any, list[tuple[int, dict[str, Any]]]]] = {}
     try:
         while todo or in_flight:
-            crashed: list[list[tuple[int, dict[str, Any]]]] = []
-            while todo:
-                chunk = todo.popleft()
-                for index, _ in chunk:
-                    attempts[index] += 1
+            crashed = []
+            while todo and len(in_flight) < jobs:
+                chunk, items = todo.popleft()
+                executor = scope.start()
                 try:
-                    future = executor.submit(_run_chunk, fn, chunk, seed, label)
+                    future = executor.submit(_run_chunk, fn, items, seed, label)
                 except Exception:  # pool already broken: recover below
-                    for index, _ in chunk:
-                        attempts[index] -= 1
-                    crashed.append(chunk)
+                    crashed.append((chunk, items))
                     break
-                in_flight[future] = chunk
+                for index, _ in items:
+                    attempts[index] += 1
+                in_flight[future] = (chunk, items)
 
             if not crashed and in_flight:
                 done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
                 for future in done:
-                    chunk = in_flight.pop(future)
+                    chunk, items = in_flight.pop(future)
                     try:
                         results = future.result()
-                    except BrokenProcessPool:
-                        crashed.append(chunk)
+                    except (BrokenProcessPool, CancelledError):  # cancelled: another run's abandon
+                        crashed.append((chunk, items))
                         continue
                     for index, triple in results:
-                        if triple[0] != "ok" and attempts[index] < 1 + retries:
+                        if triple[0] != "ok" and attempts[index] < 1 + RETRIES:
                             durations[index] += triple[2]
                             retries_used += 1
-                            todo.append([(index, grid[index])])
+                            todo.append((chunk, [(index, rows[index])]))
                         else:
-                            record(index, triple)
-                    note_progress()
+                            record(chunk, index, triple)
+                    report(settled, total)
 
             if crashed:
                 # The pool is broken; every in-flight chunk is lost too.
                 crashed.extend(in_flight.values())
                 in_flight.clear()
-                _abandon(executor)
-                for chunk in crashed:
-                    for index, point in chunk:
-                        record(index, retry_isolated(index, point))
-                        note_progress()
-                executor = ProcessPoolExecutor(max_workers=jobs)
+                scope.discard(executor)
+                for chunk, items in crashed:
+                    for index, point in items:
+                        record(chunk, index, retry_isolated(index, point))
+                        report(settled, total)
     finally:
-        if executor is not None:
-            _abandon(executor)
+        if in_flight:  # leaving early: nothing may outlive the run
+            scope.discard(executor)
 
     telemetry = SweepTelemetry(
-        jobs=jobs,
-        chunk_size=chunk_size,
-        n_points=n,
+        jobs=jobs, chunk_size=chunk_size, n_points=total,
         wall_seconds=time.perf_counter() - start,
-        point_seconds=tuple(durations[i] for i in owner),
-        failures=failures,
-        retries=retries_used,
+        point_seconds=tuple(durations[i] for c in chunks for i in range(c.start, c.stop)),
+        failures=failures, retries=retries_used,
     )
-    return sink.result(telemetry)
+    if not failed:
+        return sink.result(telemetry)
+    outcomes = list(sink.outcomes) if sink.frame is None else [None] * len(rows)
+    for chunk, chunk_outcomes in failed.items():
+        outcomes[chunk.start:chunk.stop] = chunk_outcomes
+    return SweepResult(rows, outcomes, telemetry)

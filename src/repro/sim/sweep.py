@@ -8,8 +8,8 @@ can slice by any axis.
 Three execution strategies share one contract:
 
 * :func:`run_sweep` (here) evaluates points serially.
-* :func:`repro.sim.parallel.run_sweep_parallel` shards the same grid
-  across a process pool and reassembles results in grid order.
+* :func:`run_grid` with ``jobs > 1`` shards the same grid across a
+  process pool (:mod:`repro.sim.parallel`), outcomes in grid order.
 * :func:`repro.cluster.coordinator.run_sweep_cluster_from_callable`
   leases chunks of the grid to in-process cluster workers.
 
@@ -62,7 +62,7 @@ def sweep_grid(**axes: Iterable[Any]) -> list[dict[str, Any]]:
 class SweepResult:
     """Results of a sweep: parallel lists of points and outcomes.
 
-    ``telemetry`` is ``None`` for serial sweeps; the parallel engine
+    ``telemetry`` is ``None`` for serial sweeps; a pool run
     attaches a :class:`repro.sim.parallel.SweepTelemetry` describing the
     run (wall time, throughput, worker utilization, retries).
     """
@@ -238,10 +238,11 @@ def run_grid(
 
     The single execution policy:
 
-    * ``cluster=N`` runs on N in-process cluster workers, each fanning
-      its chunks over a pool of ``jobs`` processes when ``jobs > 1``.
-    * Otherwise ``jobs > 1`` runs on a process pool, reporting
-      ``progress(done, total)`` as points settle.
+    * ``cluster=N`` runs on N in-process cluster workers, which share one
+      pool of ``jobs`` processes when ``jobs > 1``.
+    * Otherwise ``jobs > 1`` runs on the enclosing
+      :func:`~repro.sim.parallel.process_pool` of that width (or one for
+      this call), reporting ``progress(done, total)`` as points settle.
     * Otherwise (``jobs`` of ``None`` or 1) the grid runs serially.
 
     ``cache`` (a :class:`~repro.service.cache.ResultCache`) checkpoints
@@ -250,18 +251,19 @@ def run_grid(
     :func:`~repro.cluster.coordinator.chunk_cache_key` with the sweep
     kind's ``result_version``, so ``fn`` must be clusterable.  Locally
     every chunk is looked up first, and only the missing ones run:
-    serially in grid order, or all on one process pool, which stores
-    each chunk once its points settle (out of grid order).  An entry
-    that does not fit its chunk (:meth:`SweepSink.fill_cached`) is
-    missing too, and is overwritten.  A chunk with a failed point is
-    never stored; a pool run then returns its own result, which carries
-    the failures.
+    serially in grid order, or on the pool, which stores each chunk once
+    its points settle (out of grid order).  An entry that does not fit
+    its chunk (:meth:`SweepSink.fill_cached`) is missing too, and is
+    overwritten.  A chunk with a failed point is never stored; a pool
+    run then returns a list-backed result holding the failures.
 
     Every mode returns the same bytes; pool and cluster runs attach
     their telemetry to the result.  ``seed``/``label`` derive per-point
     seeds as in :func:`run_sweep`, and ``frame`` makes every mode
     accumulate into typed columns.
     """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if cluster is not None:
         # Imported lazily: the cluster layer depends on service plumbing.
         from repro.cluster.coordinator import (
@@ -281,7 +283,7 @@ def run_grid(
     from repro.cluster.protocol import chunk_grid, default_chunk_size, task_from_callable
 
     rows = [dict(point) for point in grid]
-    size = chunk_size or default_chunk_size(len(rows), jobs or 1)
+    size = default_chunk_size(len(rows), jobs or 1) if chunk_size is None else chunk_size
     sink = SweepSink(rows, frame)
     missing = chunk_grid(len(rows), size)
     keys: dict[Any, str] = {}
@@ -307,10 +309,10 @@ def run_grid(
             settle(chunk, [_call_point(fn, point, seed, label)
                            for point in rows[chunk.start:chunk.stop]])
         return sink.result()
-    from repro.sim.parallel import run_sweep_parallel
+    from repro.sim.parallel import _run_on_pool, process_pool
 
-    sweep = run_sweep_parallel(
-        fn, rows, jobs=jobs, chunk_size=size, seed=seed, label=label,
-        progress=progress, chunks=missing, on_chunk=settle,
-    )
-    return sweep if sweep.telemetry.failures else sink.result(sweep.telemetry)
+    with process_pool(jobs):
+        return _run_on_pool(
+            fn, sink, missing, settle, jobs=jobs, chunk_size=size, seed=seed,
+            label=label, progress=progress,
+        )

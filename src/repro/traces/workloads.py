@@ -136,7 +136,8 @@ _INT64_MAX = np.iinfo(np.int64).max
 def _invert(z: np.ndarray, scale: float, out: np.ndarray) -> None:
     """``out[:] = ceil(z / scale)``: numpy's geometric inversion of exponential draws ``z``.
 
-    ``scale`` is ``-log1p(-p)``.  ``z`` is overwritten with the quotient.
+    ``scale`` is ``-log1p(-p)``.  ``z`` is overwritten with the quotient;
+    ``out`` may be ``z`` itself viewed as int64.
     Quotients from :data:`_INT64_LIMIT` up clamp to INT64_MAX, as numpy's
     do; only then is there a mask pass.
     """
@@ -294,8 +295,9 @@ class _Layout:
     (``-log1p(-p)``) or, when ``scale`` is ``None``, a geometric integer.
     ``new_at`` lists the new accesses' indices.  ``alloc_of[:done]`` holds
     each access's allocation index, and ``allocated`` counts the new
-    accesses among ``[0, done)``.  Working out ``[done, hi)`` overwrites
-    that part of ``offsets``.
+    accesses among ``[0, done)``.  ``alloc_of`` is the draw buffer itself
+    (viewed as int64 for the exponential doubles), so working out
+    ``[done, hi)`` overwrites that part of ``offsets``.
     """
 
     new_blocks: np.ndarray
@@ -304,9 +306,11 @@ class _Layout:
     new_at: np.ndarray
     offsets: np.ndarray
     scale: float | None
-    alloc_of: np.ndarray
     done: int = 0
     allocated: int = 0
+
+    def __post_init__(self) -> None:
+        self.alloc_of = self.offsets if self.scale is None else self.offsets.view(np.int64)
 
     def extend(self, hi: int, fold: np.random.Generator | None = None) -> None:
         """Work out ``alloc_of[done:hi]``, folding too-old targets with ``fold``'s doubles.
@@ -322,9 +326,7 @@ class _Layout:
         if hi <= lo:
             return
         out = self.alloc_of[lo:hi]
-        if self.scale is None:
-            np.copyto(out, self.offsets[lo:hi])
-        else:
+        if self.scale is not None:  # geometric integers are their own targets
             _invert(self.offsets[lo:hi], self.scale, out)
         allocated = self.is_new[lo:hi].astype(np.int64)
         allocated[0] += self.allocated
@@ -375,9 +377,7 @@ def _synthesize_layout(
         top = offsets.max() / scale
     new_at = np.flatnonzero(is_new)
     m = n_accesses if top > n_new else int(new_at[max(1, math.ceil(top)) - 1])
-    layout = _Layout(
-        new_blocks, writable, is_new, new_at, offsets, scale, np.empty(n_accesses, dtype=np.int64)
-    )
+    layout = _Layout(new_blocks, writable, is_new, new_at, offsets, scale)
     layout.extend(m, rng)
     return layout
 

@@ -114,7 +114,7 @@ class TestResumeAfterInterrupt:
         with pytest.raises(ExperimentInterrupted) as excinfo:
             run_experiments(smoke_cfg(interrupted, jobs=2, crash_after_chunks=1))
         # raised while the pool still runs, from the chunk's store
-        assert any(entry.name == "run_sweep_parallel" for entry in excinfo.traceback)
+        assert any(entry.name == "_run_on_pool" for entry in excinfo.traceback)
         assert multiprocessing.active_children() == []
 
         resumed = run_experiments(smoke_cfg(interrupted))

@@ -3,7 +3,7 @@
 Two families:
 
 * **Differential determinism** — for representative open-system and
-  closed-system sweeps, ``run_sweep_parallel`` must be bit-identical to
+  closed-system sweeps, ``run_grid(jobs=...)`` must be bit-identical to
   serial ``run_sweep`` for every ``jobs`` and ``chunk_size``, including
   point ordering and RNG-dependent outcomes.
 * **Fault injection** — a raising point and a dead worker each exercise the retry/recovery path and still yield a
@@ -21,9 +21,10 @@ import time
 
 import pytest
 
+import repro.sim.parallel as parallel
 from repro.sim.closed_system import ClosedSystemConfig, simulate_closed_system
 from repro.sim.open_system import OpenSystemConfig, simulate_open_system
-from repro.sim.parallel import SweepFailure, SweepTelemetry, run_sweep_parallel
+from repro.sim.parallel import SweepFailure, SweepTelemetry
 from repro.sim.sweep import run_grid, run_sweep, sweep_grid
 
 JOBS = [1, 2, 4]
@@ -81,7 +82,7 @@ class TestDifferentialDeterminism:
     def test_open_system_matches_serial(self, jobs):
         grid = sweep_grid(n=[256, 1024], w=[4, 8, 16])
         serial = run_sweep(open_point, grid)
-        par = run_sweep_parallel(open_point, grid, jobs=jobs)
+        par = run_grid(open_point, grid, jobs=jobs)
         assert par.points == serial.points
         assert par.outcomes == serial.outcomes
 
@@ -89,7 +90,7 @@ class TestDifferentialDeterminism:
     def test_closed_system_matches_serial(self, jobs):
         grid = sweep_grid(n=[128, 512], c=[2, 4])
         serial = run_sweep(closed_point, grid)
-        par = run_sweep_parallel(closed_point, grid, jobs=jobs)
+        par = run_grid(closed_point, grid, jobs=jobs)
         assert par.points == serial.points
         assert par.outcomes == serial.outcomes
 
@@ -98,23 +99,23 @@ class TestDifferentialDeterminism:
     def test_sharded_seeds_independent_of_layout(self, jobs, chunk_size):
         grid = [{"x": i} for i in range(7)]
         serial = run_sweep(seeded_point, grid, seed=99)
-        par = run_sweep_parallel(seeded_point, grid, jobs=jobs, chunk_size=chunk_size, seed=99)
+        par = run_grid(seeded_point, grid, jobs=jobs, chunk_size=chunk_size, seed=99)
         assert par.outcomes == serial.outcomes
 
     def test_seed_changes_streams(self):
         grid = [{"x": i} for i in range(3)]
-        a = run_sweep_parallel(seeded_point, grid, jobs=2, seed=1)
-        b = run_sweep_parallel(seeded_point, grid, jobs=2, seed=2)
+        a = run_grid(seeded_point, grid, jobs=2, seed=1)
+        b = run_grid(seeded_point, grid, jobs=2, seed=2)
         assert a.outcomes != b.outcomes
 
     def test_point_order_preserved(self):
         grid = sweep_grid(a=[3, 1, 2], b=[9, 7])
-        par = run_sweep_parallel(arith_point, grid, jobs=4, chunk_size=1)
+        par = run_grid(arith_point, grid, jobs=4, chunk_size=1)
         assert par.points == grid
         assert par.outcomes == [a * 100 + b for a, b in ((3, 9), (3, 7), (1, 9), (1, 7), (2, 9), (2, 7))]
 
     def test_empty_grid(self):
-        result = run_sweep_parallel(arith_point, [], jobs=2)
+        result = run_grid(arith_point, [], jobs=2)
         assert len(result) == 0
         assert result.telemetry is not None and result.telemetry.n_points == 0
 
@@ -122,7 +123,7 @@ class TestDifferentialDeterminism:
         """Grids built from one-shot iterator axes sweep identically
         serially and in parallel (sweep_grid materializes them once)."""
         serial = run_sweep(arith_point, sweep_grid(a=range(3), b=(x for x in (7, 9))))
-        par = run_sweep_parallel(
+        par = run_grid(
             arith_point, sweep_grid(a=range(3), b=(x for x in (7, 9))), jobs=2
         )
         assert par.points == serial.points
@@ -132,21 +133,17 @@ class TestDifferentialDeterminism:
 class TestValidation:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
-            run_sweep_parallel(arith_point, [{"a": 1, "b": 2}], jobs=0)
+            run_grid(arith_point, [{"a": 1, "b": 2}], jobs=0)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError, match="chunk_size"):
-            run_sweep_parallel(arith_point, [{"a": 1, "b": 2}], jobs=1, chunk_size=0)
-
-    def test_bad_retries_rejected(self):
-        with pytest.raises(ValueError, match="retries"):
-            run_sweep_parallel(arith_point, [{"a": 1, "b": 2}], jobs=1, retries=-1)
+            run_grid(arith_point, [{"a": 1, "b": 2}], jobs=2, chunk_size=0)
 
 
 class TestFaultInjection:
     def test_raising_point_recorded_after_retries(self):
         grid = [{"x": i} for i in range(4)]
-        result = run_sweep_parallel(raise_on_two, grid, jobs=2, retries=1)
+        result = run_grid(raise_on_two, grid, jobs=2)  # parallel.RETRIES == 1
         failure = result.outcomes[2]
         assert isinstance(failure, SweepFailure)
         assert failure.kind == "error"
@@ -159,7 +156,7 @@ class TestFaultInjection:
 
     def test_worker_death_recovered(self):
         grid = [{"x": i} for i in range(6)]
-        result = run_sweep_parallel(exit_on_three, grid, jobs=2, chunk_size=2, retries=1)
+        result = run_grid(exit_on_three, grid, jobs=2, chunk_size=2)
         failure = result.outcomes[3]
         assert isinstance(failure, SweepFailure)
         assert failure.kind == "crash"
@@ -168,9 +165,10 @@ class TestFaultInjection:
         assert [result.outcomes[i] for i in (0, 1, 2, 4, 5)] == [0, 1, 2, 4, 5]
         assert result.telemetry.failures == 1
 
-    def test_worker_death_with_no_retry_budget(self):
+    def test_worker_death_with_no_retry_budget(self, monkeypatch):
+        monkeypatch.setattr(parallel, "RETRIES", 2)
         grid = [{"x": i} for i in range(4)]
-        result = run_sweep_parallel(exit_on_three, grid, jobs=2, chunk_size=4, retries=2)
+        result = run_grid(exit_on_three, grid, jobs=2, chunk_size=4)
         assert isinstance(result.outcomes[3], SweepFailure)
         assert all(result.outcomes[i] == i for i in (0, 1, 2))
 
@@ -178,7 +176,7 @@ class TestFaultInjection:
 class TestTelemetryAndProgress:
     def test_telemetry_shape(self):
         grid = sweep_grid(a=[1, 2], b=[3, 4, 5])
-        result = run_sweep_parallel(arith_point, grid, jobs=2)
+        result = run_grid(arith_point, grid, jobs=2)
         t = result.telemetry
         assert isinstance(t, SweepTelemetry)
         assert t.n_points == 6
@@ -190,14 +188,14 @@ class TestTelemetryAndProgress:
         assert t.failures == 0 and t.retries == 0
 
     def test_summary_line(self):
-        result = run_sweep_parallel(arith_point, [{"a": 1, "b": 2}], jobs=1)
+        result = run_grid(arith_point, [{"a": 1, "b": 2}], jobs=2)
         line = result.telemetry.summary()
-        assert "1 points" in line and "jobs=1" in line and "failures=0" in line
+        assert "1 points" in line and "jobs=2" in line and "failures=0" in line
 
     def test_progress_callback_reaches_total(self):
         calls = []
         grid = [{"a": i, "b": 0} for i in range(5)]
-        run_sweep_parallel(
+        run_grid(
             arith_point, grid, jobs=2, chunk_size=1, progress=lambda d, t: calls.append((d, t))
         )
         assert calls[-1] == (5, 5)
@@ -216,8 +214,6 @@ class TestRunGrid:
 
     @pytest.mark.parametrize("jobs", [None, 1])
     def test_jobs_one_creates_no_pool(self, jobs, monkeypatch):
-        import repro.sim.parallel as parallel
-
         def no_pool(*args, **kwargs):
             raise AssertionError("serial run created a process pool")
 

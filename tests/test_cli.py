@@ -223,6 +223,22 @@ class TestInterrupt:
         assert captured.err == "interrupted\n"
         assert captured.out == ""
 
+    def test_sigint_mid_pool_run_leaves_no_workers(self, capsys, monkeypatch):
+        import multiprocessing
+        import signal
+
+        from repro import cli
+
+        def sigint(done, total):  # Ctrl-C once the first chunk settles
+            signal.raise_signal(signal.SIGINT)
+
+        monkeypatch.setattr(cli, "_progress_line", sigint)
+        assert main(["fig4a", "--samples", "100", "--jobs", "2"]) == 130
+        captured = capsys.readouterr()
+        assert captured.err == "interrupted\n"
+        assert captured.out == ""
+        assert multiprocessing.active_children() == []
+
 
 class TestVersionFlag:
     def test_version_string_matches_package(self):

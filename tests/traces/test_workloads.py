@@ -10,6 +10,7 @@ import pytest
 from repro.traces.workloads import (
     SPEC2000_PROFILES,
     BenchmarkProfile,
+    _synthesize_layout,
     specjbb_like,
     synthesize_trace,
 )
@@ -121,6 +122,14 @@ class TestLayoutSpan:
     def test_span_with_exactly_enough_room(self, base):
         trace = synthesize_trace(self.random_only(100), 100, np.random.default_rng(0), base=base)
         assert sorted(trace.blocks.tolist()) == list(range(base, base + 100))
+
+
+class TestLayoutBuffer:
+    @pytest.mark.parametrize("reuse_recency", [0.02, 0.5])  # exponential, geometric draws
+    def test_targets_are_worked_out_in_the_draw_buffer(self, reuse_recency):
+        profile = BenchmarkProfile(name="x", reuse_recency=reuse_recency)
+        layout = _synthesize_layout(profile, 5000, np.random.default_rng(0), 0)
+        assert np.shares_memory(layout.alloc_of, layout.offsets)
 
 
 class TestSpecjbbLike:
