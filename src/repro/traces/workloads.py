@@ -33,10 +33,10 @@ variability.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator, Mapping
+from functools import cache
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -109,14 +109,14 @@ class BenchmarkProfile:
         fracs = (self.seq_frac, self.stride_frac, self.rand_frac)
         if any(f < 0 for f in fracs) or sum(fracs) <= 0:
             raise ValueError(f"burst fractions must be non-negative, not all zero: {fracs}")
-        if not self.strides or any(s <= 0 for s in self.strides):
-            raise ValueError(f"strides must be positive, got {self.strides}")
+        if not self.strides or not all(_is_count(s) for s in self.strides):
+            raise ValueError(f"strides must be positive integers, got {self.strides}")
         if not 0.0 <= self.hot_frac <= 1.0:
             raise ValueError(f"hot_frac must be in [0, 1], got {self.hot_frac}")
-        if self.burst_length <= 0:
-            raise ValueError(f"burst_length must be positive, got {self.burst_length}")
-        if self.span <= 0:
-            raise ValueError(f"span must be positive, got {self.span}")
+        if not self.burst_length >= 1:
+            raise ValueError(f"burst_length must be at least 1, got {self.burst_length}")
+        if not _is_count(self.span):
+            raise ValueError(f"span must be a positive integer, got {self.span}")
         if not 0.0 <= self.writable_fraction <= 1.0:
             raise ValueError(f"writable_fraction must be in [0,1], got {self.writable_fraction}")
         if not 0.0 <= self.write_prob <= 1.0:
@@ -125,6 +125,11 @@ class BenchmarkProfile:
             raise ValueError(f"reuse_recency must be in (0,1], got {self.reuse_recency}")
         if self.instr_per_access < 1.0:
             raise ValueError(f"instr_per_access must be >= 1, got {self.instr_per_access}")
+
+
+def _is_count(value: object) -> bool:
+    """Whether ``value`` is a positive integer (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
 
 
 #: the smallest double above INT64_MAX, where numpy clamps an inverted
@@ -169,36 +174,272 @@ def _geometric(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
     return out
 
 
-def _scalar_draws(rng: np.random.Generator) -> tuple[Callable[[], float], Callable[[int], int]]:
-    """``(random, below)``: ``rng.random()`` and ``int(rng.integers(0, n))`` from raw bits.
+#: numpy's ziggurat ``standard_exponential``: where its tail starts, how
+#: near a tie a slow-path accept test may come before it is left to numpy,
+#: and the half-width of the band around each guessed ``ke`` entry
+_ZIGGURAT_R = 7.69711747013104972
+_TIE = 1e-12
+_KE_BAND = 32
+#: the inverse mod 2**128 of PCG64's multiplier 0x2360ED051FC65DA44385DF649FCCF645
+#: (its state steps ``s -> s * mult + inc``)
+_PCG64_MULT_INVERSE = 0x07DDA22B9397986098ABC8B0716EAC8D
 
-    Both read the bit generator through its ctypes interface, a quarter
-    of the cost of a scalar numpy call for ``integers``.  ``random`` is
-    the generator's ``next_double``, which ``rng.random()`` returns as
-    is.  ``below(n)`` is numpy's Lemire draw for ``2 <= n < 2**32``: one
-    ``next_uint32`` scaled by ``n``, redrawn while the low word is below
-    ``(2**32 - n) % n``; the 32-bit carry lives in the bit generator's
-    state, so raw and numpy draws interleave exactly.  ``n == 1`` draws
-    nothing, and ``n >= 2**32`` defers to ``rng.integers``.  The caller
-    must own ``rng``: these calls skip numpy's lock.  Pinned in
-    tests/sim/test_trace_fast.py.
+
+def _pcg64_state_before(word: int) -> dict:
+    """A PCG64 state whose next 64-bit output is ``word``.
+
+    PCG64 steps its state, then outputs ``rotr(hi ^ lo, hi >> 58)`` of the
+    new one, so a state with ``hi == 0`` outputs ``lo``; one step back
+    (``inc`` 1) is the state before it.
     """
-    bits = rng.bit_generator.ctypes
-    next_uint32, state = bits.next_uint32, bits.state
+    state = (word - 1) * _PCG64_MULT_INVERSE % (1 << 128)
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
-    def below(n: int) -> int:
-        if n >= 1 << 32:
-            return int(rng.integers(0, n))
-        if n == 1:
-            return 0
-        m = next_uint32(state) * n
-        if (m & 0xFFFFFFFF) < n:
-            threshold = ((1 << 32) - n) % n
-            while (m & 0xFFFFFFFF) < threshold:
-                m = next_uint32(state) * n
-        return m >> 32
 
-    return partial(bits.next_double, state), below
+@cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(we, ke_lo, ke_hi, fe)``: numpy's ``standard_exponential`` ziggurat tables.
+
+    numpy splits a word ``w`` into ``idx = (w >> 3) & 0xFF`` and
+    ``ri = w >> 11`` and returns ``ri * we[idx]`` when ``ri < ke[idx]``.
+    Each ``we[idx]`` is read off numpy with one probe, a state whose next
+    word has ``ri = 1`` (``ke[1]`` is 0, and that slow path returns the
+    same value).  ``ke`` is guessed from ``x = we * 2**53`` to within a
+    few units: ``floor(2**53 * x[i-1] / x[i])``, ``r / x[0]`` for the base
+    layer and 0 for the top one; ``[ke_lo, ke_hi)`` is a band around the
+    guess that holds numpy's entry, where a draw is left to numpy.
+    ``fe[i]`` is ``exp(-x[i])``, and ``fe[0]`` is 1.  Pinned in
+    tests/traces/test_exponential_emulation.py.
+    """
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).standard_exponential
+    we = np.empty(256)
+    for i in range(256):
+        bits.state = _pcg64_state_before(1 << 11 | i << 3)
+        we[i] = draw()
+    x = (we * 2.0**53).tolist()
+    guess = [math.floor(2.0**53 * _ZIGGURAT_R / x[0]), 0]
+    guess += [math.floor(2.0**53 * x[i - 1] / x[i]) for i in range(2, 256)]
+    ke = np.array(guess, dtype=np.uint64)
+    band = np.full(256, _KE_BAND, dtype=np.uint64)
+    band[1] = 0  # the top layer is all slow path
+    return we, ke - band, ke + band, np.array([1.0] + [math.exp(-v) for v in x[1:]])
+
+
+def _exponentials(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, used)``: numpy's ``standard_exponential`` started at each of ``words``.
+
+    ``used[i]`` counts the words the draw from word ``i`` takes, or is 0
+    where it cannot be read exactly: it needs a word past the end, its
+    ``ri`` is in a ``ke`` band, or its accept test is within ``_TIE`` of a
+    tie (numpy's own ``exp`` may round the other way).  A word with
+    ``ri`` below ``ke[idx]`` is its own draw (98.9%).  The rest take the
+    slow path with the next word's double ``u``: the base layer returns
+    ``r - log1p(-u)``; another layer returns ``ri * we[idx]`` if
+    ``(fe[idx-1] - fe[idx]) * u + fe[idx]`` is below ``exp(-x)``, and
+    otherwise draws afresh from the word after ``u``.
+    """
+    we, ke_lo, ke_hi, fe = _ziggurat()
+    n = len(words)
+    ri = words >> np.uint64(11)
+    idx = ((words >> np.uint64(3)) & np.uint64(0xFF)).astype(np.intp)
+    values = ri * we[idx]
+    used = np.ones(n, dtype=np.int64)
+    slow = np.flatnonzero(ri >= ke_lo[idx])
+    k = idx[slow]
+    u = ri[np.minimum(slow + 1, n - 1)] * 2.0**-53
+    accept = (fe[k - 1] - fe[k]) * u + fe[k]
+    bound = np.exp(-values[slow])
+    tail = k == 0
+    for i, x in zip(slow[tail].tolist(), u[tail].tolist()):  # libm's log1p, as numpy's
+        values[i] = _ZIGGURAT_R - math.log1p(-x)
+    taken = np.where(tail | (accept < bound), 2, -1)  # -1: rejected
+    taken[(ri[slow] < ke_hi[k]) | (slow + 1 == n) | (~tail & (np.abs(accept - bound) <= _TIE))] = 0
+    used[slow] = taken
+    # A rejected draw is the next draw that is not, two words on per rejection.
+    rejected = slow[taken < 0]
+    to = rejected + 2
+    while True:
+        again = to < n
+        again[again] = used[to[again]] < 0
+        if not again.any():
+            break
+        to[again] += 2
+    fine = to < n
+    fine[fine] = used[to[fine]] > 0
+    used[rejected] = 0
+    rejected, to = rejected[fine], to[fine]
+    values[rejected] = values[to]
+    used[rejected] = to - rejected + used[to]
+    return values, used
+
+
+#: the page-aligned hot-set stride (8 KB in 64 B blocks)
+_HOT_STRIDE = 128
+
+
+def _lemire_threshold(n: int) -> int:
+    """A 32-bit bounded draw below ``n`` rejects while its low word is below this."""
+    return ((1 << 32) - n) % n
+
+
+class _Bursts:
+    """One profile's burst draws, read from numpy scalar calls or decoded from raw words.
+
+    A burst draws its kind (one double, ``bisect_right`` of the kind cdf:
+    sequential, strided, random or hot), then for a sequential or strided
+    burst a geometric length ``1 + geometric(1 / burst_length)``, then
+    for all but a hot burst a start ``integers(0, span)`` and for a
+    strided one a stride ``strides[integers(0, len(strides))]``.  Bursts
+    are columns of kind, start draw, step and length (capped at
+    ``n_new + 1``).
+    """
+
+    def __init__(self, profile: BenchmarkProfile, cdf: list[float], n_new: int) -> None:
+        self.cdf, self.n_new = cdf, n_new
+        self.span, self.strides = int(profile.span), tuple(int(s) for s in profile.strides)
+        self.p = 1.0 / profile.burst_length
+        # numpy searches the geometric cdf with one double from p = 1/3 up
+        self.sums = _search_sums(self.p) if self.p >= 1 / 3 else None
+        # 32-bit draws per kind: a bound of 1 draws nothing
+        span_draw, stride_draw = int(self.span > 1), int(len(self.strides) > 1)
+        self.draws = np.array([span_draw, span_draw + stride_draw, span_draw, 0])
+        # per kind and buffered bit b: 2 * (fresh words) + (buffered bit after)
+        fresh = self.draws[:, None] > [0, 1]
+        self.steps = 2 * fresh + ((self.draws[:, None] + [0, 1]) & 1)
+        # words per block, for sizing the raw read (an exponential takes
+        # about 1.03 words with its slow paths)
+        seq, stride, rand, hot = np.diff(cdf, prepend=0.0).tolist()
+        halves = (seq + stride + rand) * span_draw + stride * stride_draw
+        words = 1 + (seq + stride) * 1.03 + halves / 2
+        self.words_per_block = words / ((seq + stride) * (1 + profile.burst_length) + rand + hot)
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """One burst from numpy's own scalar draws."""
+        kind = bisect_right(self.cdf, rng.random())
+        start, step, length = 0, 0, 1
+        if kind <= 1:
+            length = 1 + min(int(rng.geometric(self.p)), self.n_new)
+        if kind <= 2:
+            start = int(rng.integers(0, self.span))
+        if kind == 0:
+            step = 1
+        elif kind == 1:
+            step = self.strides[int(rng.integers(0, len(self.strides)))]
+        return np.array([[kind], [start], [step], [length]], dtype=np.int64)
+
+    def decode(self, bits: np.random.PCG64, need: int) -> np.ndarray:
+        """The bursts :meth:`draw` would make until ``need`` blocks, decoded from raw words.
+
+        Reads a guess at the words they take with one ``random_raw``, reads
+        every word as each draw it could start, and follows the chain of
+        burst starts by pointer doubling.  A node is a word and whether a
+        32-bit half is buffered (PCG64's ``has_uint32``): a bounded draw
+        takes the buffered half, or a fresh word's low half and buffers
+        its high half.  The chain stops before a burst it cannot read
+        exactly (an exponential :func:`_exponentials` leaves to numpy, a
+        geometric search past its table, a word past the read) and before
+        a bounded draw that rejects.  ``bits`` is then moved past exactly
+        the bursts returned, ``has_uint32`` and ``uinteger`` as the scalar
+        draws leave them; the caller draws the next burst with numpy.
+        """
+        saved = bits.state
+        buffered, uinteger = saved["has_uint32"], saved["uinteger"]
+        guess = need * self.words_per_block
+        m = math.ceil(guess + 4 * math.sqrt(guess)) + 32
+        words = bits.random_raw(m)
+        doubles = (words >> np.uint64(11)) * 2.0**-53
+        kind = (doubles >= self.cdf[0]).view(np.int8)  # bisect_right(cdf, double)
+        kind += doubles >= self.cdf[1]
+        kind += doubles >= self.cdf[2]
+        if self.sums is None:
+            values, used = _exponentials(words)
+        else:
+            used = (doubles <= self.sums[-1]).astype(np.int64)
+
+        # Node 2j + b: a burst from word j, b a buffered half, takes its
+        # kind word, its length's words (an unreadable length lands past
+        # the read) and c halves, a fresh word for each half not buffered.
+        length_words = np.full(m, 2 * m)
+        length_words[:-1] = np.where(used[1:] > 0, used[1:], 2 * m)
+        q = np.arange(1, m + 1) + np.where(kind <= 1, length_words, 0)
+        nodes = np.arange(2 * m + 2)  # a node that maps to itself is a stop
+        nxt = (2 * q)[:, None] + np.take(self.steps, kind, axis=0)
+        nxt = np.append(np.where(nxt <= 2 * m + 1, nxt, nodes[: 2 * m].reshape(m, 2)), nodes[-2:])
+        path, jump = np.array([buffered]), nxt  # path[s:2s] = nxt^s(path[:s])
+        while nxt[path[-1]] != path[-1]:
+            path = np.concatenate([path, jump[path]])
+            jump = jump[jump]
+        n_bursts = int(np.argmax(nxt[path] == path))
+        at, has = path[:n_bursts] >> 1, path[:n_bursts] & 1
+        kinds = kind[at]
+
+        lengths = np.ones(n_bursts, dtype=np.int64)
+        long = kinds <= 1
+        if self.sums is None:
+            g = np.empty(np.count_nonzero(long), dtype=np.int64)
+            _invert(values[at[long] + 1], -math.log1p(-self.p), g)
+        else:
+            g = np.searchsorted(self.sums, doubles[at[long] + 1]) + 1
+        lengths[long] += np.minimum(g, self.n_new)
+        cut = min(n_bursts, int(np.searchsorted(np.cumsum(lengths), need)) + 1)
+
+        draws = self.draws[kinds]
+        fresh_words = words[q[at[draws > has]]]
+        halves = np.zeros(buffered + 2 * len(fresh_words) + 2, dtype=np.uint64)
+        halves[0] = uinteger
+        halves[buffered : -2 : 2] = fresh_words & np.uint64(0xFFFFFFFF)
+        halves[buffered + 1 : -2 : 2] = fresh_words >> np.uint64(32)
+        rank = np.cumsum(draws) - draws
+        starts = halves[rank] * np.uint64(self.span)
+        picks = halves[rank + self.draws[0]] * np.uint64(len(self.strides))
+        low = np.uint64(0xFFFFFFFF)
+        rejects = ((kinds <= 2) & ((starts & low) < _lemire_threshold(self.span))) | (
+            (kinds == 1) & ((picks & low) < _lemire_threshold(len(self.strides)))
+        )
+        if rejects[:cut].any():
+            cut = int(np.argmax(rejects))
+
+        end = int(path[cut])
+        bits.state = saved
+        bits.advance(end >> 1)
+        state = bits.state
+        state["has_uint32"] = end & 1
+        n_fresh = int(np.count_nonzero(draws[:cut] > has[:cut]))
+        state["uinteger"] = int(fresh_words[n_fresh - 1] >> np.uint64(32)) if n_fresh else uinteger
+        bits.state = state
+
+        kinds = kinds[:cut]
+        out = np.zeros((4, cut), dtype=np.int64)
+        out[0] = kinds
+        out[1] = np.where(kinds <= 2, starts[:cut] >> np.uint64(32), 0)
+        out[2, kinds == 0] = 1
+        strided = kinds == 1
+        picked = (picks[:cut][strided] >> np.uint64(32)).astype(np.intp)
+        out[2, strided] = np.array(self.strides)[picked]
+        out[3] = lengths[:cut]
+        return out
+
+
+def _search_sums(p: float) -> np.ndarray:
+    """The running sums numpy's geometric search compares its double with.
+
+    They stop where the next term no longer changes the sum; a double
+    above the last one, which numpy's loop would never pass, is left to
+    numpy.
+    """
+    sums, total, term, q = [p], p, p, 1.0 - p
+    while True:
+        term *= q
+        if total + term == total:
+            return np.array(sums)
+        total += term
+        sums.append(total)
 
 
 def _layout_new_blocks(
@@ -206,8 +447,12 @@ def _layout_new_blocks(
 ) -> np.ndarray:
     """Lay out ``n_new`` distinct blocks as a burst sequence.
 
-    Returns the blocks in allocation order. Uniqueness is enforced by
-    remapping any repeated address to a fresh random one.
+    Returns the blocks in allocation order.  A hot-set base is drawn
+    first, then bursts until ``n_new`` blocks (the last one cut short);
+    from a PCG64 generator and a span below ``2**32`` they are decoded
+    from raw words (:meth:`_Bursts.decode`), one numpy-drawn burst at
+    each place the decoder stops.  Uniqueness is enforced by remapping
+    any repeated address to a fresh random one.
     """
     if n_new == 0:
         return np.empty(0, dtype=np.int64)
@@ -219,67 +464,52 @@ def _layout_new_blocks(
     # ``bisect_right(cdf, rng.random())`` consumes the generator exactly
     # as that call does, and ``strides[rng.integers(0, k)]`` exactly as
     # ``rng.choice(strides)`` (both pinned in tests/sim/test_trace_fast.py).
-    # ``random`` and ``below`` make those scalar draws from raw bits.
     cdf = fracs.cumsum()
     cdf /= cdf[-1]
-    cdf = cdf.tolist()
-    strides = profile.strides
-    span = profile.span
-    p_length = 1.0 / profile.burst_length
-    random, below = _scalar_draws(rng)
-    geometric = rng.geometric
+    bursts = _Bursts(profile, cdf.tolist(), n_new)
+    span = bursts.span
+    hot_base = base + span + int(rng.integers(0, span))
 
-    #: the page-aligned hot-set stride (8 KB in 64 B blocks)
-    hot_stride = 128
-    hot_base = base + span + below(span)
-    hot_count = 0
-
-    # Burst i covers starts[i] + steps[i] * arange(lengths[i]).
-    starts: list[int] = []
-    steps: list[int] = []
-    lengths: list[int] = []
-    produced = 0
+    bits = rng.bit_generator
+    decode = isinstance(bits, np.random.PCG64) and span < 1 << 32
+    pieces, produced = [], 0
     while produced < n_new:
-        kind = bisect_right(cdf, random())
-        if kind == 3:  # hot-set singleton: next page-aligned slot
-            start, step, length = hot_base + hot_stride * hot_count, 0, 1
-            hot_count += 1
-        elif kind == 2:  # random singleton
-            start, step, length = base + below(span), 0, 1
-        else:
-            length = min(n_new - produced, 1 + int(geometric(p_length)))
-            start = base + below(span)
-            step = 1 if kind == 0 else strides[below(len(strides))]
-        starts.append(start)
-        steps.append(step)
-        lengths.append(length)
-        produced += length
-    reps = np.array(lengths, dtype=np.int64)
-    within = np.arange(n_new, dtype=np.int64) - np.repeat(np.cumsum(reps) - reps, reps)
-    out = (
-        np.repeat(np.array(starts, dtype=np.int64), reps)
-        + np.repeat(np.array(steps, dtype=np.int64), reps) * within
-    )
+        if decode:
+            pieces.append(bursts.decode(bits, n_new - produced))
+            produced += int(pieces[-1][3].sum())
+        if produced < n_new:
+            pieces.append(bursts.draw(rng))
+            produced += int(pieces[-1][3, 0])
+    kind, starts, steps, lengths = np.concatenate(pieces, axis=1)
+    lengths[-1] -= produced - n_new
+    starts += base
+    hot = np.flatnonzero(kind == 3)
+    starts[hot] = hot_base + _HOT_STRIDE * np.arange(len(hot))
+    # Burst i covers starts[i] + steps[i] * arange(lengths[i]).
+    within = np.arange(n_new, dtype=np.int64) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    out = np.repeat(starts, lengths) + np.repeat(steps, lengths) * within
 
     # Enforce distinctness: collide-and-retry for the (rare) duplicates.
-    seen, first_idx = np.unique(out, return_index=True)
-    if len(seen) < n_new:
-        dup_mask = np.ones(n_new, dtype=bool)
-        dup_mask[first_idx] = False
-        n_dup = n_new - len(seen)
-        laid = seen.tolist()  # sorted: a membership test is a bisect
-        free = span - (bisect_left(laid, base + span) - bisect_left(laid, base))
+    laid, first_idx = np.unique(out, return_index=True)
+    n_dup = n_new - len(laid)
+    if n_dup:
+        free = span - int(np.searchsorted(laid, base + span) - np.searchsorted(laid, base))
         if free < n_dup:
             raise ValueError(
                 f"span {span} cannot hold {n_new} distinct new blocks: "
                 f"{n_dup} duplicates need fresh addresses and {free} are left"
             )
+        # One vector draw per round: each round draws only what it still needs,
+        # so the draw count equals a scalar draw per candidate.
         fresh: dict[int, None] = {}  # insertion-ordered
         while len(fresh) < n_dup:
-            candidate = base + below(span)
-            at = bisect_left(laid, candidate)
-            if (at == len(laid) or laid[at] != candidate) and candidate not in fresh:
-                fresh[candidate] = None
+            candidates = base + rng.integers(0, span, size=n_dup - len(fresh))
+            at = np.minimum(np.searchsorted(laid, candidates), len(laid) - 1)
+            for candidate, taken in zip(candidates.tolist(), (laid[at] == candidates).tolist()):
+                if not taken and candidate not in fresh:
+                    fresh[candidate] = None
+        dup_mask = np.ones(n_new, dtype=bool)
+        dup_mask[first_idx] = False
         out[dup_mask] = np.fromiter(fresh, dtype=np.int64, count=n_dup)
     return out
 
@@ -432,9 +662,10 @@ def synthesize_trace(
     """Generate one trace of ``n_accesses`` accesses from ``profile``.
 
     Allocation positions, recency-biased reuse targets, writable classes
-    and instruction gaps are drawn as arrays; the new-block layout is a
-    Python loop over bursts, about one per ``burst_length`` new blocks
-    (the Figure 3 sweep replays hundreds of these traces).
+    and instruction gaps are drawn as arrays; the new-block layout's
+    bursts, about one per ``burst_length`` new blocks, are decoded from
+    one raw read of a PCG64 stream as numpy's scalar draws would make
+    them (the Figure 3 sweep replays hundreds of these traces).
     """
     if n_accesses < 0:
         raise ValueError(f"n_accesses must be non-negative, got {n_accesses}")
@@ -471,6 +702,8 @@ def _trace_prefixes(
     ``PCG64.advance`` (each ``random()`` double is exactly one 64-bit
     output), where the full draw would start them.
     """
+    if n_accesses < 0:
+        raise ValueError(f"n_accesses must be non-negative, got {n_accesses}")
     if first < 1:
         raise ValueError(f"first must be at least 1, got {first}")
     if n_accesses == 0:
@@ -628,6 +861,10 @@ def specjbb_like(
         raise ValueError(f"shared_fraction must be in [0, 1], got {shared_fraction}")
     if not 0.0 <= layout_correlation <= 1.0:
         raise ValueError(f"layout_correlation must be in [0, 1], got {layout_correlation}")
+    if not 0.0 <= write_fraction <= 1.0:
+        raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
+    if not _is_count(shared_blocks_span):
+        raise ValueError(f"shared_blocks_span must be a positive integer, got {shared_blocks_span}")
 
     # A warehouse allocates object blocks relatively fast (transaction
     # churn) but with strong recency reuse and moderate structure.

@@ -32,8 +32,9 @@ from repro.sim.trace_driven import (
 from repro.sim import trace_fast
 from repro.sim.trace_fast import _draw_starts, simulate_trace_aliasing_fast
 from repro.traces.events import AccessTrace, ThreadedTrace
-from repro.traces.workloads import _geometric, _scalar_draws
+from repro.traces.workloads import _geometric
 from tests.sim.engine_contract import EngineContract, registry_test_class
+from tests.traces.test_burst_layout_differential import _scalar_draws
 
 CONTRACT = EngineContract(
     kind="trace",
@@ -296,13 +297,16 @@ def generator_state(rng: np.random.Generator) -> dict:
 
 
 class TestRawDraws:
-    """The numpy properties the cheaper layout draws are built on.
+    """The numpy properties the cheaper draws are built on.
 
     ``repro.traces.workloads._geometric`` inverts one vector
     ``standard_exponential`` draw where numpy's ``geometric`` would
-    (``p < 1/3``), and ``_scalar_draws`` makes ``rng.random()`` and
-    ``int(rng.integers(0, n))`` from the bit generator's raw
-    ``next_double``/``next_uint32`` with numpy's Lemire rejection.
+    (``p < 1/3``).  ``_scalar_draws``, the burst-layout oracle's raw
+    draws (kept in tests/traces/test_burst_layout_differential.py), makes
+    ``rng.random()`` and ``int(rng.integers(0, n))`` from the bit
+    generator's raw ``next_double``/``next_uint32`` with numpy's Lemire
+    rejection; the layout's decoder reads the same words in bulk.
+    ``_lemire_starts`` reads fig2a's start draws from raw words too.
     Each must give the same values *and* leave the generator in the
     same state, interleaved with ordinary numpy draws; a numpy upgrade
     that changed either algorithm fails here by name, not as a golden

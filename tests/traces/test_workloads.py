@@ -11,6 +11,7 @@ from repro.traces.workloads import (
     SPEC2000_PROFILES,
     BenchmarkProfile,
     _synthesize_layout,
+    _trace_prefixes,
     specjbb_like,
     synthesize_trace,
 )
@@ -40,6 +41,31 @@ class TestProfileValidation:
         with pytest.raises(ValueError):
             BenchmarkProfile(name="bad", **kwargs)
 
+    @pytest.mark.parametrize("burst_length", [0.5, 0.999, float("nan")])
+    def test_burst_length_below_one(self, burst_length):
+        # numpy's geometric would fail later: p = 1 / burst_length > 1
+        with pytest.raises(ValueError, match="burst_length must be at least 1"):
+            BenchmarkProfile(name="bad", burst_length=burst_length)
+
+    @pytest.mark.parametrize("strides", [(1.5, 2), (2, True), (4.0,)])
+    def test_strides_must_be_integers(self, strides):
+        # a fractional stride used to be truncated silently
+        with pytest.raises(ValueError, match="strides must be positive integers"):
+            BenchmarkProfile(name="bad", strides=strides)
+
+    @pytest.mark.parametrize("span", [1000.5, 1024.0, True])
+    def test_span_must_be_an_integer(self, span):
+        with pytest.raises(ValueError, match="span must be a positive integer"):
+            BenchmarkProfile(name="bad", span=span)
+
+    def test_integer_fields_take_numpy_integers(self):
+        profile = BenchmarkProfile(name="ok", strides=(np.int64(3), 5), span=np.int32(4096))
+        assert len(synthesize_trace(profile, 2000, np.random.default_rng(0))) == 2000
+
+    def test_shipped_profiles_pass(self):
+        for profile in SPEC2000_PROFILES.values():
+            assert dataclasses.replace(profile) == profile
+
     def test_fleet_is_twelve_spec_benchmarks(self):
         expected = {
             "bzip2", "crafty", "eon", "gap", "gcc", "gzip",
@@ -61,6 +87,11 @@ class TestSynthesizeTrace:
     def test_zero_length(self):
         rng = stream_rng(1, "t")
         assert len(synthesize_trace(SPEC2000_PROFILES["gcc"], 0, rng)) == 0
+
+    def test_prefixes_of_a_negative_length_rejected(self):
+        prefixes = _trace_prefixes(SPEC2000_PROFILES["gcc"], -5, np.random.default_rng(0), 1024)
+        with pytest.raises(ValueError, match="n_accesses must be non-negative, got -5"):
+            next(prefixes)
 
     def test_negative_rejected(self):
         rng = stream_rng(1, "t")
@@ -171,3 +202,14 @@ class TestSpecjbbLike:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             specjbb_like(**kwargs)
+
+    @pytest.mark.parametrize("write_fraction", [1.5, -0.1, float("nan")])
+    def test_write_fraction_outside_the_unit_interval(self, write_fraction):
+        # 1.5 used to make every writable access store and every shared access write
+        with pytest.raises(ValueError, match="write_fraction must be in"):
+            specjbb_like(2, 100, write_fraction=write_fraction)
+
+    @pytest.mark.parametrize("span", [0, -3, 2.5, True])
+    def test_shared_blocks_span_must_be_positive(self, span):
+        with pytest.raises(ValueError, match="shared_blocks_span must be a positive integer"):
+            specjbb_like(2, 100, shared_blocks_span=span)
